@@ -6,87 +6,4 @@ tau-b, exact sign tests, kernel smoothing), a reproducible log-sweep
 engine, and a CLI that ties them together.
 """
 
-from .analysis import (
-    PAIRINGS,
-    AnalysisReport,
-    MissingRecordsError,
-    PairResult,
-    analyze_records,
-    format_report,
-    report_to_dict,
-)
-from .filex import FilexParams, WeightState, init_state, run, run_batch, step
-from .records import read_metadata, read_records, write_records
-from .sampling import categorical_counts
-from .seeding import make_rng, mix64
-from .stats import (
-    CorrelationSummary,
-    TrendCurve,
-    UndefinedCorrelationError,
-    binomial_sign_test,
-    gaussian_smooth,
-    kendall_tau,
-    shannon_entropy,
-)
-from .svgplot import build_plot
-from .sweep import (
-    FILEX,
-    TOY_ELS,
-    RunRecord,
-    SkippedPoint,
-    SweepOutcome,
-    SweepSpec,
-    default_filex_suite,
-    default_toy_els_suite,
-    execute_sweep,
-    log_sweep,
-    run_sweep,
-)
-from .toy_els import ToyElsParams, ToyElsState, toy_run, toy_update
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnalysisReport",
-    "CorrelationSummary",
-    "FILEX",
-    "FilexParams",
-    "MissingRecordsError",
-    "PAIRINGS",
-    "PairResult",
-    "RunRecord",
-    "SkippedPoint",
-    "SweepOutcome",
-    "SweepSpec",
-    "TOY_ELS",
-    "ToyElsParams",
-    "ToyElsState",
-    "TrendCurve",
-    "UndefinedCorrelationError",
-    "WeightState",
-    "analyze_records",
-    "binomial_sign_test",
-    "build_plot",
-    "categorical_counts",
-    "default_filex_suite",
-    "default_toy_els_suite",
-    "execute_sweep",
-    "format_report",
-    "gaussian_smooth",
-    "init_state",
-    "kendall_tau",
-    "log_sweep",
-    "make_rng",
-    "mix64",
-    "read_metadata",
-    "read_records",
-    "report_to_dict",
-    "run",
-    "run_batch",
-    "run_sweep",
-    "shannon_entropy",
-    "step",
-    "toy_run",
-    "toy_update",
-    "write_records",
-]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .stats import CorrelationSummary, binomial_sign_test, kendall_tau
-from .sweep import FILEX, TOY_ELS, RunRecord
+from .sweep import FILEX, TOY_ELS
 
 # (label, urn-process param, toy-agent param)
 PAIRINGS = (
@@ -67,10 +67,17 @@ def analyze_records(records, strong_threshold: float = DEFAULT_STRONG_THRESHOLD)
     A pair matches when both correlations have the same nonzero sign; a
     strong match additionally needs |tau| >= strong_threshold on BOTH
     sides. Each match count gets an exact one-sided binomial test against
-    fair coin flips.
+    fair coin flips. A repeated (target, param, seed) row is an error: it
+    would count one run twice.
     """
     if not strong_threshold >= 0:
         raise ValueError(f"strong_threshold must be >= 0, got {strong_threshold}")
+    seen = set()
+    for r in records:
+        key = (r.target, r.swept_param, r.seed)
+        if key in seen:
+            raise ValueError(f"duplicate record: {r.target} {r.swept_param} seed {r.seed}")
+        seen.add(key)
     groups = group_points(records)
 
     missing = []

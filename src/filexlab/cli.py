@@ -14,28 +14,13 @@ import sys
 from pathlib import Path
 
 from .analysis import DEFAULT_STRONG_THRESHOLD, analyze_records, format_report, report_to_dict
-from .filex import FilexParams
-from .filex import run as filex_run
 from .records import read_metadata, read_records, write_records
 from .stats import shannon_entropy
 from .svgplot import build_plot
-from .sweep import (
-    FILEX,
-    PARAM_NAMES,
-    TOY_ELS,
-    SweepSpec,
-    _FILEX_DEFAULTS,
-    _TOY_DEFAULTS,
-    default_filex_suite,
-    default_toy_els_suite,
-    execute_sweep,
-)
-from .toy_els import ToyElsParams, toy_run
+from .sweep import FILEX, TARGETS, SweepSpec, execute_sweep
 
-_LOG = logging.getLogger(__name__)
-
-_FLOAT_PARAMS = {"alpha", "learning_rate", "temperature"}
-_ALL_PARAMS = tuple(dict.fromkeys(PARAM_NAMES[FILEX] + PARAM_NAMES[TOY_ELS]))
+# every target's parameters, in table then field order, with their int/float kinds
+_PARAM_KINDS = {name: kind for t in TARGETS.values() for name, kind in t.param_kinds().items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,14 +37,13 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     subs: dict[str, _Parser] = {}
 
     p_run = subs["run"] = sub.add_parser("run", help="single simulation, print distribution")
-    p_run.add_argument("--target", choices=(FILEX, TOY_ELS), default=FILEX)
+    p_run.add_argument("--target", choices=(*TARGETS,), default=FILEX)
     p_run.add_argument("--seed", type=int, default=0)
-    for name in _ALL_PARAMS:
-        kind = float if name in _FLOAT_PARAMS else int
+    for name, kind in _PARAM_KINDS.items():
         p_run.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind, default=None)
 
     p_sweep = subs["sweep"] = sub.add_parser("sweep", help="run sweep suites, write CSVs")
-    p_sweep.add_argument("--target", choices=(FILEX, TOY_ELS, "all"), default="all")
+    p_sweep.add_argument("--target", choices=(*TARGETS, "all"), default="all")
     p_sweep.add_argument("--seed", type=int, default=0, help="root seed for the suite")
     p_sweep.add_argument("--steps", type=int, default=None, help="grid points per sweep")
     p_sweep.add_argument("--workers", type=int, default=1)
@@ -129,18 +113,12 @@ def _apply_config(parser: _Parser, subs: dict, argv: list[str]) -> None:
 
 
 def _cmd_run(args) -> int:
-    names = PARAM_NAMES[args.target]
-    for name in _ALL_PARAMS:
-        if getattr(args, name) is not None and name not in names:
+    target = TARGETS[args.target]
+    given = {name: getattr(args, name) for name in _PARAM_KINDS if getattr(args, name) is not None}
+    for name in given:
+        if name not in target.param_kinds():
             raise ValueError(f"{name} is not a {args.target} parameter")
-    merged = dict(_FILEX_DEFAULTS if args.target == FILEX else _TOY_DEFAULTS)
-    for name in names:
-        if getattr(args, name) is not None:
-            merged[name] = getattr(args, name)
-    if args.target == FILEX:
-        dist = filex_run(FilexParams(**merged), args.seed)
-    else:
-        dist = toy_run(ToyElsParams(**merged), args.seed)
+    dist = target.run(target.params_cls(**{**target.defaults, **given}), args.seed)
     print(" ".join(f"{v:.17g}" for v in dist))
     print(f"entropy_bits = {shannon_entropy(dist):.17g}")
     return 0
@@ -152,7 +130,6 @@ def _cmd_sweep(args) -> int:
             raise ValueError("--param needs an explicit --target")
         if args.low is None or args.high is None or args.steps is None:
             raise ValueError("--param needs --low, --high and --steps")
-        defaults = dict(_FILEX_DEFAULTS if args.target == FILEX else _TOY_DEFAULTS)
         specs = [
             SweepSpec(
                 target=args.target,
@@ -161,28 +138,19 @@ def _cmd_sweep(args) -> int:
                 high=args.high,
                 steps=args.steps,
                 integer_valued=args.integer,
-                defaults=defaults,
+                defaults={},
                 base_seed=args.seed,
             )
         ]
     else:
-        specs = []
-        if args.target in (FILEX, "all"):
-            kw = {} if args.steps is None else {"steps": args.steps}
-            specs += default_filex_suite(root_seed=args.seed, **kw)
-        if args.target in (TOY_ELS, "all"):
-            kw = {} if args.steps is None else {"steps": args.steps}
-            specs += default_toy_els_suite(root_seed=args.seed, **kw)
+        kw = {} if args.steps is None else {"steps": args.steps}
+        names = TARGETS if args.target == "all" else (args.target,)
+        specs = [spec for name in names for spec in TARGETS[name].suite(root_seed=args.seed, **kw)]
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for spec in specs:
         outcome = execute_sweep(spec, workers=args.workers, repeats=args.repeats)
-        for skip in outcome.skipped:
-            _LOG.warning(
-                "%s %s: skipped grid point %d (value %g): %s",
-                spec.target, spec.swept_param, skip.index, skip.value, skip.reason,
-            )
         path = out_dir / f"{spec.target}_{spec.swept_param}.csv"
         write_records(path, outcome.records, spec=spec, skipped=outcome.skipped)
         print(f"{path}: {len(outcome.records)} records, {len(outcome.skipped)} skipped")

@@ -16,12 +16,42 @@ so any drift toward low entropy is purely variance-driven.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import math
+import numbers
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
 from .sampling import categorical_counts
 from .seeding import make_rng
+
+
+@functools.cache
+def param_kinds(params_cls: type) -> dict[str, type]:
+    """Field name -> int or float for a params dataclass, in field order."""
+    hints = get_type_hints(params_cls)
+    return {f.name: hints[f.name] for f in fields(params_cls)}
+
+
+def check_positive(params) -> None:
+    """Raise ValueError unless every field of a params dataclass is positive.
+
+    A field annotated int takes an int or numpy integer >= 1; a field
+    annotated float takes any finite real > 0, numpy scalars included. A
+    bool is never a number.
+    """
+    for name, kind in param_kinds(type(params)).items():
+        v = getattr(params, name)
+        if kind is int:
+            what = "a positive integer"
+            ok = isinstance(v, (int, np.integer)) and v >= 1
+        else:
+            what = "a positive finite real"
+            ok = isinstance(v, numbers.Real) and 0 < v < math.inf
+        if isinstance(v, bool) or not ok:
+            raise ValueError(f"{name} must be {what}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -40,14 +70,7 @@ class FilexParams:
     n_iters: int
 
     def __post_init__(self):
-        if not (self.alpha > 0 and np.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be a positive finite real, got {self.alpha}")
-        if not (isinstance(self.beta, (int, np.integer)) and self.beta >= 1):
-            raise ValueError(f"beta must be a positive integer, got {self.beta!r}")
-        if not (isinstance(self.lexicon_size, (int, np.integer)) and self.lexicon_size >= 1):
-            raise ValueError(f"lexicon_size must be a positive integer, got {self.lexicon_size!r}")
-        if not (isinstance(self.n_iters, (int, np.integer)) and self.n_iters >= 1):
-            raise ValueError(f"n_iters must be a positive integer, got {self.n_iters!r}")
+        check_positive(self)
 
 
 @dataclass

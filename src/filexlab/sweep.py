@@ -4,6 +4,10 @@ A SweepSpec names one hyperparameter, a geometric grid for it, and the
 defaults for everything else. Each grid point runs once with a seed mixed
 from (base_seed, grid index), so results are reproducible and independent
 of execution order or worker count.
+
+TARGETS describes each simulated process once: its parameter class (whose
+fields give the parameter names and their int/float kinds), its runner,
+its defaults and its default sweep suite.
 """
 
 from __future__ import annotations
@@ -11,10 +15,11 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .filex import FilexParams
+from .filex import FilexParams, param_kinds
 from .filex import run as filex_run
 from .seeding import mix64
 from .stats import shannon_entropy
@@ -24,18 +29,6 @@ _LOG = logging.getLogger(__name__)
 
 FILEX = "filex"
 TOY_ELS = "toy_els"
-
-PARAM_NAMES = {
-    FILEX: ("alpha", "beta", "lexicon_size", "n_iters"),
-    TOY_ELS: (
-        "time_steps",
-        "lexicon_size",
-        "learning_rate",
-        "buffer_size",
-        "temperature",
-        "eval_samples",
-    ),
-}
 
 # snap tolerance for grid values that should be exact integers; geometric
 # grids from the default suites space adjacent points >= 0.69% apart, so
@@ -83,9 +76,9 @@ class SweepSpec:
     base_seed: int
 
     def __post_init__(self) -> None:
-        if self.target not in PARAM_NAMES:
+        if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
-        names = PARAM_NAMES[self.target]
+        names = tuple(TARGETS[self.target].param_kinds())
         if self.swept_param not in names:
             raise ValueError(
                 f"{self.swept_param!r} is not a {self.target} parameter "
@@ -102,6 +95,8 @@ class SweepSpec:
             raise ValueError(f"low ({self.low}) must not exceed high ({self.high})")
         if not isinstance(self.base_seed, (int, np.integer)):
             raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
+        # parameters the spec leaves out run at the target's defaults
+        object.__setattr__(self, "defaults", {**TARGETS[self.target].defaults, **self.defaults})
 
     def grid(self) -> list[float]:
         """Post-floor grid values, one per step, non-decreasing."""
@@ -137,17 +132,10 @@ class SweepOutcome:
     skipped: list[SkippedPoint] = field(default_factory=list)
 
 
-def _build_params(spec: SweepSpec, value: float):
-    merged = dict(spec.defaults)
-    merged[spec.swept_param] = int(value) if spec.integer_valued else value
-    if spec.target == FILEX:
-        return FilexParams(**merged)
-    return ToyElsParams(**merged)
-
-
 def _run_point(spec: SweepSpec, value: float, seed: int) -> RunRecord:
-    params = _build_params(spec, value)
-    dist = filex_run(params, seed) if spec.target == FILEX else toy_run(params, seed)
+    target = TARGETS[spec.target]
+    installed = int(value) if spec.integer_valued else value
+    dist = target.run(target.params_cls(**{**spec.defaults, spec.swept_param: installed}), seed)
     return RunRecord(
         target=spec.target,
         swept_param=spec.swept_param,
@@ -171,8 +159,8 @@ def execute_sweep(spec: SweepSpec, workers: int = 1, repeats: int = 1) -> SweepO
 
     With repeats > 1 each point runs repeats times, seeded by
     mix64(base_seed, i * repeats + r). Invalid points (the installed value
-    makes the parameter set unconstructible) are skipped and reported in
-    the outcome, one entry per grid point.
+    makes the parameter set unconstructible) are skipped, logged and
+    reported in the outcome, one entry per grid point.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -203,30 +191,20 @@ def execute_sweep(spec: SweepSpec, workers: int = 1, repeats: int = 1) -> SweepO
                 seen_bad.add(point)
                 value = tasks[index][2]
                 skipped.append(SkippedPoint(index=point, value=value, reason=reason))
+                _LOG.warning(
+                    "%s %s: skipped grid point %d (value %g): %s",
+                    spec.target, spec.swept_param, point, value, reason,
+                )
     return SweepOutcome(records=records, skipped=skipped)
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
-    """execute_sweep, logging any skipped points and returning the records."""
-    outcome = execute_sweep(spec, workers=workers)
-    for skip in outcome.skipped:
-        _LOG.warning(
-            "skipped %s=%g (grid point %d): %s",
-            spec.swept_param, skip.value, skip.index, skip.reason,
-        )
-    return outcome.records
-
-
-_FILEX_DEFAULTS = {"alpha": 1.0, "beta": 8, "lexicon_size": 64, "n_iters": 1000}
-
-_TOY_DEFAULTS = {
-    "time_steps": 200_000,
-    "lexicon_size": 64,
-    "learning_rate": 3e-3,
-    "buffer_size": 256,
-    "temperature": 1.5,
-    "eval_samples": 10_000,
-}
+def _suite(target: str, rows, seed_offset: int, root_seed: int, steps: int,
+           defaults: dict) -> list[SweepSpec]:
+    # one spec per (param, low, high, integer) row, seeded mix64(root_seed, seed_offset + k)
+    return [
+        SweepSpec(target, name, low, high, steps, integer, defaults, mix64(root_seed, seed_offset + k))
+        for k, (name, low, high, integer) in enumerate(rows)
+    ]
 
 
 def default_filex_suite(root_seed: int = 0, steps: int = 1000) -> list[SweepSpec]:
@@ -237,19 +215,7 @@ def default_filex_suite(root_seed: int = 0, steps: int = 1000) -> list[SweepSpec
         ("alpha", 1e-3, 1e3, False),
         ("beta", 1.0, 1e3, True),
     ]
-    return [
-        SweepSpec(
-            target=FILEX,
-            swept_param=name,
-            low=low,
-            high=high,
-            steps=steps,
-            integer_valued=integer,
-            defaults=dict(_FILEX_DEFAULTS),
-            base_seed=mix64(root_seed, k),
-        )
-        for k, (name, low, high, integer) in enumerate(rows)
-    ]
+    return _suite(FILEX, rows, 0, root_seed, steps, {})
 
 
 def default_toy_els_suite(root_seed: int = 0, steps: int = 200) -> list[SweepSpec]:
@@ -267,16 +233,48 @@ def default_toy_els_suite(root_seed: int = 0, steps: int = 200) -> list[SweepSpe
         ("buffer_size", 8.0, 1024.0, True),
         ("temperature", 0.1, 10.0, False),
     ]
-    return [
-        SweepSpec(
-            target=TOY_ELS,
-            swept_param=name,
-            low=low,
-            high=high,
-            steps=steps,
-            integer_valued=integer,
-            defaults={**_TOY_DEFAULTS, "eval_samples": 100_000},
-            base_seed=mix64(root_seed, 8 + k),
-        )
-        for k, (name, low, high, integer) in enumerate(rows)
-    ]
+    return _suite(TOY_ELS, rows, 8, root_seed, steps, {"eval_samples": 100_000})
+
+
+@dataclass(frozen=True)
+class Target:
+    """One simulated process: parameter class, runner, defaults, default suite.
+
+    run(params, seed) returns the process's output distribution;
+    suite(root_seed=..., steps=...) returns its default sweeps.
+    """
+
+    params_cls: type
+    run: Callable
+    defaults: dict
+    suite: Callable
+
+    def param_kinds(self) -> dict[str, type]:
+        """Parameter name -> int or float, in field order."""
+        return param_kinds(self.params_cls)
+
+
+# The runners look filex_run / toy_run up in this module when called, so a
+# caller that rebinds those names (a tracer, say) sees every sweep point.
+# Pool workers receive only the picklable SweepSpec and look the target up here.
+TARGETS = {
+    FILEX: Target(
+        params_cls=FilexParams,
+        run=lambda params, seed: filex_run(params, seed),
+        defaults={"alpha": 1.0, "beta": 8, "lexicon_size": 64, "n_iters": 1000},
+        suite=default_filex_suite,
+    ),
+    TOY_ELS: Target(
+        params_cls=ToyElsParams,
+        run=lambda params, seed: toy_run(params, seed),
+        defaults={
+            "time_steps": 200_000,
+            "lexicon_size": 64,
+            "learning_rate": 3e-3,
+            "buffer_size": 256,
+            "temperature": 1.5,
+            "eval_samples": 10_000,
+        },
+        suite=default_toy_els_suite,
+    ),
+}

@@ -11,10 +11,12 @@ and relaxation temperature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from .filex import check_positive
 from .sampling import categorical_counts
 from .seeding import make_rng
 
@@ -37,14 +39,7 @@ class ToyElsParams:
     eval_samples: int = 10_000
 
     def __post_init__(self) -> None:
-        for name in ("time_steps", "lexicon_size", "buffer_size", "eval_samples"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1):
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        for name in ("learning_rate", "temperature"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be a positive finite real, got {v!r}")
+        check_positive(self)
         if self.buffer_size > self.time_steps:
             raise ValueError(
                 f"buffer_size ({self.buffer_size}) must not exceed "
@@ -95,14 +90,18 @@ def toy_update(state: ToyElsState, params: ToyElsParams, rng: np.random.Generato
         raise ValueError(
             f"state has {len(theta)} logits, params expect {params.lexicon_size}"
         )
-    p = softmax(theta)
-    g = rng.gumbel(size=(params.buffer_size, params.lexicon_size))
-    z = (theta + g) / params.temperature
-    z -= z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
-    grad = y.mean(axis=0) - p
-    rms = float(np.sqrt(np.mean(grad * grad)))
+    # in place on the one buffer-sized array; each step rounds exactly as
+    # the out-of-place expression (theta + g) / T etc. would
+    y = rng.gumbel(size=(params.buffer_size, params.lexicon_size))
+    y += theta
+    y /= params.temperature
+    y -= y.max(axis=1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=1, keepdims=True)
+    grad = np.add.reduce(y, axis=0)
+    grad /= params.buffer_size
+    grad -= softmax(theta)
+    rms = math.sqrt(np.add.reduce(grad * grad) / params.lexicon_size)
     if rms > 0.0:
         theta = theta + params.learning_rate * grad / rms
     else:

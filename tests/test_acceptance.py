@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
-The two default sweep suites run once per session (serially, single
-worker) and are shared by the correlation criteria; everything else is
+The two default sweep suites run once per session, on two workers, and
+are shared by the correlation criteria; criterion 9 checks that the
+worker count does not change a sweep's output. Everything else is
 self-contained.
 """
 
@@ -35,17 +36,20 @@ def _verdict(number: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {number}: {detail}"
 
 
+_SUITE_WORKERS = 2
+
+
 @pytest.fixture(scope="session")
 def filex_suite():
     t0 = time.perf_counter()
-    out = [(spec, execute_sweep(spec)) for spec in default_filex_suite()]
+    out = [(spec, execute_sweep(spec, workers=_SUITE_WORKERS)) for spec in default_filex_suite()]
     return out, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
 def toy_suite():
     t0 = time.perf_counter()
-    out = [(spec, execute_sweep(spec)) for spec in default_toy_els_suite()]
+    out = [(spec, execute_sweep(spec, workers=_SUITE_WORKERS)) for spec in default_toy_els_suite()]
     return out, time.perf_counter() - t0
 
 

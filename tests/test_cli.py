@@ -70,6 +70,14 @@ def test_usage_error_exits_one():
     assert err.value.code == 1
 
 
+def test_run_flag_kinds_follow_params_fields():
+    # beta is an int field of the urn process, alpha a float field
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--target", "filex", "--beta", "2.5"])
+    assert err.value.code == 1
+    assert main(["run", "--target", "filex", "--alpha", "0.5", "--n-iters", "10"]) == 0
+
+
 def test_sweep_single_param(tmp_path, capsys):
     rc = main([
         "sweep", "--target", "filex", "--param", "beta", "--low", "1", "--high", "8",
@@ -142,6 +150,12 @@ def test_analyze_missing_counterpart_exits_one(tmp_path, capsys):
     assert "Temperature" in capsys.readouterr().err
 
 
+def test_analyze_duplicate_rows_exit_one(tmp_path, capsys):
+    paths = synth_suite_files(tmp_path)
+    assert main(["analyze", *paths, *paths]) == 1
+    assert "duplicate record" in capsys.readouterr().err
+
+
 def test_analyze_missing_file_exits_two(tmp_path):
     assert main(["analyze", str(tmp_path / "absent.csv")]) == 2
 
@@ -194,3 +208,10 @@ def test_config_malformed_line_exits_one(tmp_path):
     cfg = tmp_path / "lab.cfg"
     cfg.write_text("steps\n", encoding="utf-8")
     assert main(["--config", str(cfg), "run"]) == 1
+
+
+def test_config_bool_parameter_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("beta = true\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "run"]) == 1
+    assert "error: beta must be a positive integer" in capsys.readouterr().err

@@ -27,6 +27,12 @@ def test_params_validation():
         FilexParams(alpha=1.0, beta=8, lexicon_size=0, n_iters=1000)
     with pytest.raises(ValueError):
         FilexParams(alpha=1.0, beta=8, lexicon_size=64, n_iters=0)
+    # bools are never numbers; non-numbers fail with ValueError, not TypeError
+    for bad in ({"beta": True}, {"alpha": True}, {"alpha": "1"}, {"alpha": None},
+                {"alpha": float("nan")}, {"lexicon_size": np.int64(0)}):
+        with pytest.raises(ValueError):
+            FilexParams(**{**DEFAULTS, **bad})
+    FilexParams(**{**DEFAULTS, "alpha": np.float32(0.5), "beta": np.int64(3)})
 
 
 def test_state_validation():

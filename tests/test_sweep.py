@@ -9,13 +9,13 @@ from filexlab.seeding import mix64
 from filexlab.stats import shannon_entropy
 from filexlab.sweep import (
     FILEX,
+    TARGETS,
     TOY_ELS,
     SweepSpec,
     default_filex_suite,
     default_toy_els_suite,
     execute_sweep,
     log_sweep,
-    run_sweep,
 )
 
 FILEX_DEFAULTS = {"alpha": 1.0, "beta": 8, "lexicon_size": 64, "n_iters": 1000}
@@ -184,7 +184,7 @@ def test_sweep_skips_invalid_points():
     assert [s.index for s in outcome.skipped] == list(range(len(bad)))
 
 
-def test_run_sweep_logs_skips(caplog):
+def test_execute_sweep_logs_skips(caplog):
     spec = SweepSpec(
         target=TOY_ELS,
         swept_param="time_steps",
@@ -203,9 +203,18 @@ def test_run_sweep_logs_skips(caplog):
         base_seed=1,
     )
     with caplog.at_level(logging.WARNING):
-        records = run_sweep(spec)
+        records = execute_sweep(spec).records
     assert len(records) < spec.steps
     assert any("skipped" in r.message for r in caplog.records)
+
+
+def test_partial_defaults_filled_from_target():
+    spec = SweepSpec(TOY_ELS, "time_steps", 100, 2560, 3, True, {"lexicon_size": 8}, 0)
+    assert spec.defaults == {**TARGETS[TOY_ELS].defaults, "lexicon_size": 8}
+    assert list(spec.defaults) == list(TARGETS[TOY_ELS].defaults)
+    outcome = execute_sweep(spec)
+    assert [r.value for r in outcome.records] == spec.grid()[1:] == [505.0, 2560.0]
+    assert [s.value for s in outcome.skipped] == [100.0]
 
 
 def test_sweep_repeats():

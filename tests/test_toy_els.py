@@ -37,6 +37,11 @@ def test_params_validation():
         make_params(eval_samples=0)
     with pytest.raises(ValueError):
         make_params(time_steps=100, buffer_size=256)  # no update would fit
+    for bad in ({"learning_rate": True}, {"temperature": "1"}, {"time_steps": True},
+                {"eval_samples": 2.5}):
+        with pytest.raises(ValueError):
+            make_params(**bad)
+    make_params(learning_rate=np.float32(0.1), buffer_size=np.int64(8))
 
 
 def test_state_validation():

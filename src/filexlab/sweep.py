@@ -19,8 +19,9 @@ from typing import Callable
 
 import numpy as np
 
-from .filex import FilexParams, param_kinds
+from .filex import FilexParams, is_integer, param_kinds
 from .filex import run as filex_run
+from .filex import run_many as filex_run_many
 from .seeding import mix64
 from .stats import shannon_entropy
 from .toy_els import ToyElsParams, toy_run
@@ -43,7 +44,7 @@ def log_sweep(low: float, high: float, n: int) -> list[float]:
     it, so decade grids like (1, 10, 100, 1000) come out exact despite
     floating-point pow.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    if not (is_integer(n) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if not (np.isfinite(low) and np.isfinite(high) and low > 0):
         raise ValueError(f"bounds must be finite with low > 0, got ({low!r}, {high!r})")
@@ -87,13 +88,13 @@ class SweepSpec:
         for key in self.defaults:
             if key not in names:
                 raise ValueError(f"unknown default {key!r} for target {self.target}")
-        if not (isinstance(self.steps, (int, np.integer)) and self.steps >= 1):
+        if not (is_integer(self.steps) and self.steps >= 1):
             raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
         if not (np.isfinite(self.low) and np.isfinite(self.high) and self.low > 0):
             raise ValueError(f"bounds must be finite positive, got ({self.low}, {self.high})")
         if self.low > self.high:
             raise ValueError(f"low ({self.low}) must not exceed high ({self.high})")
-        if not isinstance(self.base_seed, (int, np.integer)):
+        if not is_integer(self.base_seed):
             raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
         # parameters the spec leaves out run at the target's defaults
         object.__setattr__(self, "defaults", {**TARGETS[self.target].defaults, **self.defaults})
@@ -132,26 +133,10 @@ class SweepOutcome:
     skipped: list[SkippedPoint] = field(default_factory=list)
 
 
-def _run_point(spec: SweepSpec, value: float, seed: int) -> RunRecord:
-    target = TARGETS[spec.target]
-    installed = int(value) if spec.integer_valued else value
-    dist = target.run(target.params_cls(**{**spec.defaults, spec.swept_param: installed}), seed)
-    return RunRecord(
-        target=spec.target,
-        swept_param=spec.swept_param,
-        value=value,
-        seed=seed,
-        entropy=shannon_entropy(dist),
-    )
-
-
-def _point_task(args: tuple) -> tuple[int, RunRecord | None, str | None]:
+def _run_chunk(args: tuple) -> list[np.ndarray]:
     # module-level so ProcessPoolExecutor can pickle it
-    spec, index, value, seed = args
-    try:
-        return index, _run_point(spec, value, seed), None
-    except ValueError as exc:
-        return index, None, str(exc)
+    target, params_list, seeds = args
+    return TARGETS[target].run_many(params_list, seeds)
 
 
 def execute_sweep(spec: SweepSpec, workers: int = 1, repeats: int = 1) -> SweepOutcome:
@@ -160,41 +145,59 @@ def execute_sweep(spec: SweepSpec, workers: int = 1, repeats: int = 1) -> SweepO
     With repeats > 1 each point runs repeats times, seeded by
     mix64(base_seed, i * repeats + r). Invalid points (the installed value
     makes the parameter set unconstructible) are skipped, logged and
-    reported in the outcome, one entry per grid point.
+    reported in the outcome, one entry per grid point. The valid points go
+    to the target's run_many in one chunk per worker.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    for name, count in (("workers", workers), ("repeats", repeats)):
+        if not (is_integer(count) and count >= 1):
+            raise ValueError(f"{name} must be a positive integer, got {count!r}")
+    target = TARGETS[spec.target]
 
-    tasks = []
-    for i, value in enumerate(spec.grid()):
-        for r in range(repeats):
-            tasks.append((spec, i * repeats + r, value, mix64(spec.base_seed, i * repeats + r)))
-
-    if workers == 1:
-        results = [_point_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_point_task, tasks, chunksize=8))
-    results.sort(key=lambda item: item[0])
-
-    records: list[RunRecord] = []
+    values: list[float] = []
+    params_list: list = []
+    seeds: list[int] = []
     skipped: list[SkippedPoint] = []
-    seen_bad: set[int] = set()
-    for index, record, reason in results:
-        if record is not None:
-            records.append(record)
-        else:
-            point = index // repeats
-            if point not in seen_bad:
-                seen_bad.add(point)
-                value = tasks[index][2]
-                skipped.append(SkippedPoint(index=point, value=value, reason=reason))
-                _LOG.warning(
-                    "%s %s: skipped grid point %d (value %g): %s",
-                    spec.target, spec.swept_param, point, value, reason,
-                )
+    for i, value in enumerate(spec.grid()):
+        installed = int(value) if spec.integer_valued else value
+        try:
+            params = target.params_cls(**{**spec.defaults, spec.swept_param: installed})
+        except ValueError as exc:
+            skipped.append(SkippedPoint(index=i, value=value, reason=str(exc)))
+            _LOG.warning(
+                "%s %s: skipped grid point %d (value %g): %s",
+                spec.target, spec.swept_param, i, value, exc,
+            )
+            continue
+        for r in range(repeats):
+            values.append(value)
+            params_list.append(params)
+            seeds.append(mix64(spec.base_seed, i * repeats + r))
+
+    n_chunks = min(workers, len(seeds))
+    if n_chunks <= 1:
+        dists = target.run_many(params_list, seeds) if seeds else []
+    else:
+        # chunk c takes every n_chunks-th point from c on: cost often grows
+        # along a grid (time_steps, lexicon_size), and a contiguous split
+        # would leave most of it to the last worker
+        chunks = [
+            (spec.target, params_list[c::n_chunks], seeds[c::n_chunks]) for c in range(n_chunks)
+        ]
+        dists = [None] * len(seeds)
+        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
+            for c, part in enumerate(pool.map(_run_chunk, chunks)):
+                dists[c::n_chunks] = part
+
+    records = [
+        RunRecord(
+            target=spec.target,
+            swept_param=spec.swept_param,
+            value=value,
+            seed=seed,
+            entropy=shannon_entropy(dist),
+        )
+        for value, seed, dist in zip(values, seeds, dists)
+    ]
     return SweepOutcome(records=records, skipped=skipped)
 
 
@@ -238,14 +241,16 @@ def default_toy_els_suite(root_seed: int = 0, steps: int = 200) -> list[SweepSpe
 
 @dataclass(frozen=True)
 class Target:
-    """One simulated process: parameter class, runner, defaults, default suite.
+    """One simulated process: parameter class, runners, defaults, default suite.
 
     run(params, seed) returns the process's output distribution;
+    run_many(params_list, seeds) returns run() of each pair, in input order;
     suite(root_seed=..., steps=...) returns its default sweeps.
     """
 
     params_cls: type
     run: Callable
+    run_many: Callable
     defaults: dict
     suite: Callable
 
@@ -254,19 +259,21 @@ class Target:
         return param_kinds(self.params_cls)
 
 
-# The runners look filex_run / toy_run up in this module when called, so a
-# caller that rebinds those names (a tracer, say) sees every sweep point.
-# Pool workers receive only the picklable SweepSpec and look the target up here.
+# The runners look filex_run, filex_run_many and toy_run up in this module
+# when called, so a caller that rebinds those names (a tracer, say) sees
+# every call. Pool workers receive the target's name and look it up here.
 TARGETS = {
     FILEX: Target(
         params_cls=FilexParams,
         run=lambda params, seed: filex_run(params, seed),
+        run_many=lambda params_list, seeds: filex_run_many(params_list, seeds),
         defaults={"alpha": 1.0, "beta": 8, "lexicon_size": 64, "n_iters": 1000},
         suite=default_filex_suite,
     ),
     TOY_ELS: Target(
         params_cls=ToyElsParams,
         run=lambda params, seed: toy_run(params, seed),
+        run_many=lambda params_list, seeds: [toy_run(p, s) for p, s in zip(params_list, seeds)],
         defaults={
             "time_steps": 200_000,
             "lexicon_size": 64,

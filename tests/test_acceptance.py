@@ -14,7 +14,7 @@ import pytest
 
 from filexlab.analysis import group_points
 from filexlab.cli import main
-from filexlab.filex import FilexParams, init_state, run, step
+from filexlab.filex import FilexParams, init_state, run_batch, step
 from filexlab.records import format_rows, write_records
 from filexlab.seeding import make_rng
 from filexlab.stats import binomial_sign_test, kendall_tau, shannon_entropy
@@ -155,8 +155,7 @@ def test_criterion_5_martingale_mean():
     n = 10_000
     acc = np.zeros(64)
     acc_sq = np.zeros(64)
-    for seed in range(n):
-        out = run(params, seed)
+    for out in run_batch(params, list(range(n))):
         acc += out
         acc_sq += out * out
     mean = acc / n
@@ -170,8 +169,8 @@ def test_criterion_5_martingale_mean():
 def test_criterion_6_entropy_monotone_in_iterations():
     short = FilexParams(alpha=1.0, beta=8, lexicon_size=64, n_iters=10)
     long = FilexParams(alpha=1.0, beta=8, lexicon_size=64, n_iters=1000)
-    h10 = float(np.mean([shannon_entropy(run(short, s)) for s in range(200)]))
-    h1000 = float(np.mean([shannon_entropy(run(long, s)) for s in range(200)]))
+    h10 = float(np.mean([shannon_entropy(o) for o in run_batch(short, list(range(200)))]))
+    h1000 = float(np.mean([shannon_entropy(o) for o in run_batch(long, list(range(200)))]))
     ok = h1000 < h10
     _verdict(6, ok, f"mean entropy N=10: {h10:.3f} bits, N=1000: {h1000:.3f} bits")
 

@@ -215,3 +215,15 @@ def test_config_bool_parameter_exits_one(tmp_path, capsys):
     cfg.write_text("beta = true\n", encoding="utf-8")
     assert main(["--config", str(cfg), "run"]) == 1
     assert "error: beta must be a positive integer" in capsys.readouterr().err
+
+
+def test_config_bool_count_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("steps = true\n", encoding="utf-8")
+    rc = main([
+        "--config", str(cfg), "sweep", "--target", "filex", "--param", "n_iters",
+        "--low", "1", "--high", "10", "--integer", "--out", str(tmp_path),
+    ])
+    assert rc == 1
+    assert "error: steps must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "filex_n_iters.csv").exists()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from filexlab.filex import FilexParams, WeightState, init_state, run, run_batch, step
+from filexlab.filex import FilexParams, WeightState, init_state, run, run_batch, run_many, step
 from filexlab.seeding import make_rng
 from filexlab.stats import shannon_entropy
 
@@ -209,6 +209,48 @@ def test_run_batch_empty_rejected():
         run_batch(params, [])
 
 
+def test_run_many_matches_run_on_mixed_rows():
+    # edge rows plus random ones: S=1, beta=1, n_iters=1, alpha at both ends,
+    # beta up to 1000 and S up to 256, numpy scalars, n_iters out of order,
+    # and enough rows of beta=1000 to span several row groups
+    p = FilexParams
+    rows = [
+        p(alpha=1.0, beta=8, lexicon_size=1, n_iters=30),
+        p(alpha=2.0, beta=1, lexicon_size=16, n_iters=200),
+        p(alpha=0.5, beta=5, lexicon_size=9, n_iters=1),
+        p(alpha=1e-3, beta=8, lexicon_size=64, n_iters=300),
+        p(alpha=1e3, beta=8, lexicon_size=64, n_iters=300),
+        p(alpha=1.0, beta=1000, lexicon_size=256, n_iters=40),
+        p(alpha=1.0, beta=1, lexicon_size=1, n_iters=1),
+        p(alpha=np.float32(0.3), beta=np.int64(3), lexicon_size=np.int64(5), n_iters=np.int64(7)),
+    ]
+    rows += [p(alpha=1.0, beta=1000, lexicon_size=64, n_iters=n)
+             for n in (90, 10, 60, 30, 70, 20, 80, 50)]
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        rows.append(p(
+            alpha=float(10 ** rng.uniform(-3, 3)),
+            beta=int(np.floor(10 ** rng.uniform(0, 3))),
+            lexicon_size=int(np.floor(2 ** rng.uniform(0, 8))),
+            n_iters=int(rng.integers(1, 150)),
+        ))
+    seeds = [int(s) for s in rng.integers(2**63, size=len(rows))]
+    outs = run_many(rows, seeds)
+    assert len(outs) == len(rows)
+    for params, seed, out in zip(rows, seeds, outs):
+        assert np.array_equal(out, run(params, seed)), params
+
+
+def test_run_many_rejects_bad_lengths():
+    params = FilexParams(alpha=1.0, beta=4, lexicon_size=8, n_iters=20)
+    with pytest.raises(ValueError):
+        run_many([], [])
+    with pytest.raises(ValueError):
+        run_many([params, params], [1])
+    with pytest.raises(ValueError):
+        run_many([params], [1, 2])
+
+
 def test_batch_mean_entropy_below_max():
     # self-reinforcement drives entropy strictly below log2(S) on average
     params = FilexParams(alpha=1.0, beta=8, lexicon_size=8, n_iters=1000)
@@ -220,6 +262,6 @@ def test_batch_mean_entropy_below_max():
 def test_entropy_decreases_with_more_iterations():
     short = FilexParams(alpha=1.0, beta=8, lexicon_size=64, n_iters=10)
     long = FilexParams(alpha=1.0, beta=8, lexicon_size=64, n_iters=1000)
-    h_short = np.mean([shannon_entropy(run(short, s)) for s in range(200)])
-    h_long = np.mean([shannon_entropy(run(long, s)) for s in range(200)])
+    h_short = np.mean([shannon_entropy(o) for o in run_batch(short, list(range(200)))])
+    h_long = np.mean([shannon_entropy(o) for o in run_batch(long, list(range(200)))])
     assert h_long < h_short

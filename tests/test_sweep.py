@@ -89,6 +89,8 @@ def test_log_sweep_validation():
         log_sweep(-1.0, 1, 5)
     with pytest.raises(ValueError):
         log_sweep(1, 10, 0)
+    with pytest.raises(ValueError):
+        log_sweep(1, 10, True)
 
 
 # ---------------------------------------------------------------- SweepSpec
@@ -110,6 +112,13 @@ def test_spec_validation():
         small_filex_spec(low=0.0)
     with pytest.raises(ValueError):
         small_filex_spec(base_seed="seed")
+    # bools are never counts or seeds
+    with pytest.raises(ValueError):
+        small_filex_spec(steps=True)
+    with pytest.raises(ValueError):
+        small_filex_spec(base_seed=True)
+    with pytest.raises(ValueError):
+        SweepSpec("filex", "n_iters", 1, 10, True, True, {}, True)
 
 
 def test_grid_flooring_keeps_duplicates():
@@ -236,6 +245,10 @@ def test_sweep_argument_validation():
         execute_sweep(spec, workers=0)
     with pytest.raises(ValueError):
         execute_sweep(spec, repeats=0)
+    with pytest.raises(ValueError):
+        execute_sweep(spec, workers=True)
+    with pytest.raises(ValueError):
+        execute_sweep(spec, repeats=True)
 
 
 # ---------------------------------------------------------------- seeds

@@ -159,8 +159,15 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_analyze(args) -> int:
     records = []
+    versions = {}  # artifact_version -> first file carrying it
     for path in args.records:
         records.extend(read_records(path))
+        metadata = read_metadata(path)
+        if metadata is not None:
+            versions.setdefault(metadata.get("artifact_version"), path)
+    if len(versions) > 1:
+        mixed = ", ".join(f"{v!r} ({path})" for v, path in versions.items())
+        raise ValueError(f"input files mix artifact versions: {mixed}")
     report = analyze_records(records, strong_threshold=args.strong_threshold)
     sys.stdout.write(format_report(report))
     if args.out is not None:

@@ -40,6 +40,11 @@ def is_integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def is_real(v) -> bool:
+    """True for any real number, numpy scalars included; a bool is never a number."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def check_positive(params) -> None:
     """Raise ValueError unless every field of a params dataclass is positive.
 
@@ -54,8 +59,8 @@ def check_positive(params) -> None:
             ok = is_integer(v) and v >= 1
         else:
             what = "a positive finite real"
-            ok = isinstance(v, numbers.Real) and 0 < v < math.inf
-        if isinstance(v, bool) or not ok:
+            ok = is_real(v) and 0 < v < math.inf
+        if not ok:
             raise ValueError(f"{name} must be {what}, got {v!r}")
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -116,30 +115,66 @@ def _concordant_minus_discordant(x: np.ndarray, y: np.ndarray) -> tuple[int, int
     return tot - xtie - ytie + ntie - 2 * dis, xtie, ytie
 
 
-def _signed_pair_sums(x: np.ndarray, yperm: np.ndarray) -> np.ndarray:
-    """C - D for each row of `yperm` against the common x. O(rows * n^2)."""
-    sx = np.sign(x[:, None] - x[None, :])
-    dy = np.sign(yperm[:, :, None] - yperm[:, None, :])
-    return np.einsum("ij,kij->k", sx, dy) / 2.0
+def _dense_ranks(values: np.ndarray) -> np.ndarray:
+    """0-based ranks of the distinct values, tied values sharing one, as int8.
+
+    They keep every order and tie of the values, so C - D is unchanged;
+    only the permutation regimes (n <= 50) use them, so they fit in int8.
+    """
+    return np.unique(values, return_inverse=True)[1].astype(np.int8)
 
 
-def _p_exact(x: np.ndarray, y: np.ndarray, observed_cmd: int) -> float:
+def _x_ordered_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) index arrays over the upper-triangle pairs with distinct x,
+    each oriented so that x[lo] < x[hi]; x-tied pairs add 0 to C - D and
+    are left out."""
+    i, j = np.triu_indices(len(x), 1)
+    up, down = x[j] > x[i], x[j] < x[i]
+    return np.concatenate((i[up], j[down])), np.concatenate((j[up], i[down]))
+
+
+def _signed_pair_sums(pairs: tuple[np.ndarray, np.ndarray], yranks: np.ndarray) -> np.ndarray:
+    """C - D for each row of `yranks` against the x that gave `pairs`.
+
+    Each row assigns y's dense ranks to the n points. With `pairs` from
+    `_x_ordered_pairs(x)`, C - D is the sum of sign(y[hi] - y[lo]) over the
+    upper triangle, n(n-1)/2 pairs at most, so no x sign is multiplied in.
+    Cost is O(rows * n^2 / 2) in int8 temporaries of rows * n(n-1)/2 bytes,
+    2.4 MB for 2,000 rows at n = 50; |C - D| <= 1225 there, so the int16
+    sums are exact.
+    """
+    lo, hi = pairs
+    t = np.ascontiguousarray(yranks.T)
+    d = t[hi] - t[lo]
+    np.sign(d, out=d)
+    return d.sum(axis=0, dtype=np.int16)
+
+
+def _all_permutations(n: int) -> np.ndarray:
+    """Every permutation of range(n), one per row (n! rows), as int8."""
+    perms = np.zeros((1, 0), dtype=np.int8)
+    for k in range(n):
+        # put the new element k at every position of each permutation of range(k)
+        perms = np.concatenate([np.insert(perms, pos, k, axis=1) for pos in range(k + 1)])
+    return perms
+
+
+def _p_exact(pairs, yranks: np.ndarray, observed_cmd: int) -> float:
     # all n! assignments of y to x are equally likely under the null
-    perms = np.array(list(permutations(range(len(y)))), dtype=np.intp)
-    cmd = _signed_pair_sums(x, y[perms])
-    return float(np.mean(np.abs(cmd) >= abs(observed_cmd) - 0.5))
+    cmd = _signed_pair_sums(pairs, yranks[_all_permutations(len(yranks))])
+    return float(np.mean(np.abs(cmd) >= abs(observed_cmd)))
 
 
-def _p_montecarlo(x: np.ndarray, y: np.ndarray, observed_cmd: int) -> float:
+def _p_montecarlo(pairs, yranks: np.ndarray, observed_cmd: int) -> float:
     rng = np.random.default_rng(_MC_SEED)
     hits = 0
     chunk = 2_000
     done = 0
     while done < _MC_PERMUTATIONS:
         rows = min(chunk, _MC_PERMUTATIONS - done)
-        yp = rng.permuted(np.tile(y, (rows, 1)), axis=1)
-        cmd = _signed_pair_sums(x, yp)
-        hits += int(np.sum(np.abs(cmd) >= abs(observed_cmd) - 0.5))
+        yp = rng.permuted(np.tile(yranks, (rows, 1)), axis=1)
+        cmd = _signed_pair_sums(pairs, yp)
+        hits += int(np.count_nonzero(np.abs(cmd) >= abs(observed_cmd)))
         done += rows
     return (hits + 1) / (_MC_PERMUTATIONS + 1)
 
@@ -190,12 +225,11 @@ def kendall_tau(points) -> CorrelationSummary:
     tau = cmd / math.sqrt(float(tot - xtie) * float(tot - ytie))
     tau = max(-1.0, min(1.0, tau))
 
-    if n <= 8:
-        p = _p_exact(x, y, cmd)
-    elif n <= 50:
-        p = _p_montecarlo(x, y, cmd)
-    else:
+    if n > 50:
         p = _p_normal(x, y, cmd)
+    else:
+        permutation_p = _p_exact if n <= 8 else _p_montecarlo
+        p = permutation_p(_x_ordered_pairs(x), _dense_ranks(y), cmd)
     p = max(0.0, min(1.0, p))
 
     if tau > SIGN_TOLERANCE:

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .filex import FilexParams, is_integer, param_kinds
+from .filex import FilexParams, is_integer, is_real, param_kinds
 from .filex import run as filex_run
 from .filex import run_many as filex_run_many
 from .seeding import mix64
@@ -37,6 +37,14 @@ TOY_ELS = "toy_els"
 _INT_SNAP_RTOL = 1e-12
 
 
+def _check_bounds(low, high) -> None:
+    # a bool is never a bound: True would sweep from 1
+    if not (all(is_real(b) and np.isfinite(b) for b in (low, high)) and low > 0):
+        raise ValueError(f"bounds must be finite positive reals, got ({low!r}, {high!r})")
+    if low > high:
+        raise ValueError(f"low ({low}) must not exceed high ({high})")
+
+
 def log_sweep(low: float, high: float, n: int) -> list[float]:
     """Geometric grid of n values from low to high, endpoints exact.
 
@@ -46,10 +54,7 @@ def log_sweep(low: float, high: float, n: int) -> list[float]:
     """
     if not (is_integer(n) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not (np.isfinite(low) and np.isfinite(high) and low > 0):
-        raise ValueError(f"bounds must be finite with low > 0, got ({low!r}, {high!r})")
-    if low > high:
-        raise ValueError(f"low ({low}) must not exceed high ({high})")
+    _check_bounds(low, high)
     if n == 1:
         return [float(low)]
     out = [float(low)]
@@ -90,10 +95,9 @@ class SweepSpec:
                 raise ValueError(f"unknown default {key!r} for target {self.target}")
         if not (is_integer(self.steps) and self.steps >= 1):
             raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
-        if not (np.isfinite(self.low) and np.isfinite(self.high) and self.low > 0):
-            raise ValueError(f"bounds must be finite positive, got ({self.low}, {self.high})")
-        if self.low > self.high:
-            raise ValueError(f"low ({self.low}) must not exceed high ({self.high})")
+        _check_bounds(self.low, self.high)
+        if not isinstance(self.integer_valued, bool):
+            raise ValueError(f"integer_valued must be a bool, got {self.integer_valued!r}")
         if not is_integer(self.base_seed):
             raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
         # parameters the spec leaves out run at the target's defaults

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from filexlab.cli import main
-from filexlab.records import read_metadata, read_records, write_records
+from filexlab.records import metadata_path, read_metadata, read_records, write_records
 from filexlab.sweep import FILEX, TOY_ELS, RunRecord
 
 
@@ -156,6 +156,19 @@ def test_analyze_duplicate_rows_exit_one(tmp_path, capsys):
     assert "duplicate record" in capsys.readouterr().err
 
 
+def test_analyze_mixed_artifact_versions_exit_one(tmp_path, capsys):
+    paths = synth_suite_files(tmp_path)
+    # files without a sidecar are not compared
+    metadata_path(paths[0]).write_text(json.dumps({"artifact_version": "0.1.0"}), encoding="utf-8")
+    metadata_path(paths[1]).write_text(json.dumps({"artifact_version": "0.1.0"}), encoding="utf-8")
+    assert main(["analyze", *paths]) == 0
+    metadata_path(paths[2]).write_text(json.dumps({"artifact_version": "0.2.0"}), encoding="utf-8")
+    assert main(["analyze", *paths]) == 1
+    err = capsys.readouterr().err
+    assert "mix artifact versions" in err
+    assert "'0.1.0'" in err and "'0.2.0'" in err
+
+
 def test_analyze_missing_file_exits_two(tmp_path):
     assert main(["analyze", str(tmp_path / "absent.csv")]) == 2
 
@@ -226,4 +239,16 @@ def test_config_bool_count_exits_one(tmp_path, capsys):
     ])
     assert rc == 1
     assert "error: steps must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "filex_n_iters.csv").exists()
+
+
+def test_config_bool_bound_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("low = true\n", encoding="utf-8")
+    rc = main([
+        "--config", str(cfg), "sweep", "--target", "filex", "--param", "n_iters",
+        "--high", "10", "--steps", "3", "--integer", "--out", str(tmp_path),
+    ])
+    assert rc == 1
+    assert "error: bounds must be finite positive reals" in capsys.readouterr().err
     assert not (tmp_path / "filex_n_iters.csv").exists()

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import kendalltau
 
+from filexlab import stats
 from filexlab.stats import (
     CorrelationSummary,
     UndefinedCorrelationError,
@@ -129,6 +132,50 @@ def test_tau_montecarlo_regime():
     assert a.tau == 1.0
     assert a.p_value < 1e-4
     assert a.p_value == b.p_value  # fixed internal permutation stream
+
+
+def test_tau_p_values_pinned():
+    # p sits well inside (0, 1) and x is not monotone, so a kernel that
+    # miscounts C - D on some permuted rows moves it; these values change
+    # only with a p-value re-baseline
+    cases = [
+        ([((i * 23) % 41, (i * 11) % 43) for i in range(40)], 0.43978560214397855),  # MC, untied
+        ([((i * 13) % 41 // 5, (i * 5) % 43) for i in range(40)], 0.3813061869381306),  # MC, tied x
+        ([((i * 19) % 43, (i * 11) % 41 // 4) for i in range(40)], 0.45535544644553555),  # MC, tied y
+        ([((i * 3) % 8 // 2, (i * 7) % 9 // 2) for i in range(8)], 0.3341269841269841),  # exact, tied
+    ]
+    for pts, p in cases:
+        assert kendall_tau(pts).p_value == p
+
+
+# small integer datasets: a narrow value range gives ties, a wide one mostly none
+def _int_points(sizes):
+    return st.tuples(sizes, st.integers(1, 100)).flatmap(
+        lambda nk: st.lists(
+            st.tuples(st.integers(0, nk[1]), st.integers(0, nk[1])),
+            min_size=nk[0],
+            max_size=nk[0],
+        )
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_int_points(st.one_of(st.integers(2, 8), st.integers(51, 70))))
+def test_tau_property_matches_oracle(pts):
+    # sizes skip the Monte Carlo regime only to keep the p-value cheap
+    x, y = zip(*pts)
+    assume(len(set(x)) > 1 and len(set(y)) > 1)
+    assert kendall_tau(pts).tau == pytest.approx(kendall_oracle(pts), abs=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_int_points(st.integers(2, 50)), st.integers(0, 2**32 - 1))
+def test_pair_sum_kernel_property_matches_oracle(pts, seed):
+    x, y = (np.array(v, dtype=np.float64) for v in zip(*pts))
+    rng = np.random.default_rng(seed)
+    perms = np.array([rng.permutation(len(y)) for _ in range(4)])
+    cmd = stats._signed_pair_sums(stats._x_ordered_pairs(x), stats._dense_ranks(y)[perms])
+    assert [int(c) for c in cmd] == [pair_sum_oracle(x, y[perm]) for perm in perms]
 
 
 def test_tau_sign_matches_oracle_pair_sum():

@@ -91,6 +91,11 @@ def test_log_sweep_validation():
         log_sweep(1, 10, 0)
     with pytest.raises(ValueError):
         log_sweep(1, 10, True)
+    for bad in (True, "1", None):
+        with pytest.raises(ValueError):
+            log_sweep(bad, 10, 3)
+        with pytest.raises(ValueError):
+            log_sweep(1, bad, 3)
 
 
 # ---------------------------------------------------------------- SweepSpec
@@ -119,6 +124,18 @@ def test_spec_validation():
         small_filex_spec(base_seed=True)
     with pytest.raises(ValueError):
         SweepSpec("filex", "n_iters", 1, 10, True, True, {}, True)
+    # bounds are real numbers and integer_valued is a bool, nothing truthy
+    small_filex_spec(low=np.float32(2.0), high=np.int64(64))
+    for bad in (True, "1", None):
+        with pytest.raises(ValueError):
+            small_filex_spec(low=bad)
+        with pytest.raises(ValueError):
+            small_filex_spec(high=bad)
+    for bad in (1, "no", None, np.bool_(True)):
+        with pytest.raises(ValueError):
+            small_filex_spec(integer_valued=bad)
+    with pytest.raises(ValueError):
+        SweepSpec("filex", "n_iters", True, 10.0, 3, "no", {}, 0)
 
 
 def test_grid_flooring_keeps_duplicates():

@@ -11,13 +11,15 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from .analysis import DEFAULT_STRONG_THRESHOLD, analyze_records, format_report, report_to_dict
 from .records import read_metadata, read_records, write_records
 from .stats import shannon_entropy
 from .svgplot import build_plot
-from .sweep import FILEX, TARGETS, SweepSpec, execute_sweep
+from .sweep import FILEX, TARGETS, SweepSpec, execute_sweeps
+from .sweep import execute_sweep  # noqa: F401  (unused; the benchmark tracer wraps this name)
 
 # every target's parameters, in table then field order, with their int/float kinds
 _PARAM_KINDS = {name: kind for t in TARGETS.values() for name, kind in t.param_kinds().items()}
@@ -149,11 +151,12 @@ def _cmd_sweep(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for spec in specs:
-        outcome = execute_sweep(spec, workers=args.workers, repeats=args.repeats)
-        path = out_dir / f"{spec.target}_{spec.swept_param}.csv"
-        write_records(path, outcome.records, spec=spec, skipped=outcome.skipped)
-        print(f"{path}: {len(outcome.records)} records, {len(outcome.skipped)} skipped")
+    # closing: a failed write cancels the specs still queued in the pool
+    with closing(execute_sweeps(specs, workers=args.workers, repeats=args.repeats)) as outcomes:
+        for spec, outcome in zip(specs, outcomes):
+            path = out_dir / f"{spec.target}_{spec.swept_param}.csv"
+            write_records(path, outcome.records, spec=spec, skipped=outcome.skipped)
+            print(f"{path}: {len(outcome.records)} records, {len(outcome.skipped)} skipped")
     return 0
 
 

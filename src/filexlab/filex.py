@@ -176,18 +176,24 @@ def run_many(params_list: list[FilexParams], seeds: list[int]) -> list[np.ndarra
         raise ValueError(f"{len(params_list)} params but {len(seeds)} seeds")
     if len(seeds) == 0:
         raise ValueError("seeds must be non-empty")
-    out: list[np.ndarray] = []
+    # every row is padded to its group's largest beta and S, so groups are
+    # cut from the rows sorted by (beta, S): like rows share a group
+    order = sorted(range(len(seeds)), key=lambda i: (params_list[i].beta, params_list[i].lexicon_size))
+    out: list[np.ndarray] = [None] * len(seeds)
     start = 0
-    while start < len(seeds):
-        # cut groups in input order: rows * (max beta + max S) within budget
+    while start < len(order):
+        # rows * (max beta + max S) within budget
         end, beta_max, s_max = start, 0, 0
-        while end < len(seeds):
-            p = params_list[end]
+        while end < len(order):
+            p = params_list[order[end]]
             b, s = max(beta_max, p.beta), max(s_max, p.lexicon_size)
             if end > start and (end + 1 - start) * (b + s) > _GROUP_ELEMENTS:
                 break
             end, beta_max, s_max = end + 1, b, s
-        out.extend(_run_group(params_list[start:end], seeds[start:end]))
+        group = order[start:end]
+        dists = _run_group([params_list[i] for i in group], [seeds[i] for i in group])
+        for i, dist in zip(group, dists):
+            out[i] = dist
         start = end
     return out
 

@@ -13,9 +13,10 @@ its defaults and its default sweep suite.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -137,72 +138,124 @@ class SweepOutcome:
     skipped: list[SkippedPoint] = field(default_factory=list)
 
 
-def _run_chunk(args: tuple) -> list[np.ndarray]:
+def _run_chunk(target: str, params_list: list, seeds: list[int]) -> list[np.ndarray]:
     # module-level so ProcessPoolExecutor can pickle it
-    target, params_list, seeds = args
     return TARGETS[target].run_many(params_list, seeds)
 
 
-def execute_sweep(spec: SweepSpec, workers: int = 1, repeats: int = 1) -> SweepOutcome:
-    """Run every grid point, in grid order, each seeded by mix64(base_seed, i).
+@dataclass
+class _Points:
+    """A spec's valid points, in grid order, and its skipped ones."""
 
-    With repeats > 1 each point runs repeats times, seeded by
-    mix64(base_seed, i * repeats + r). Invalid points (the installed value
-    makes the parameter set unconstructible) are skipped, logged and
-    reported in the outcome, one entry per grid point. The valid points go
-    to the target's run_many in one chunk per worker.
-    """
-    for name, count in (("workers", workers), ("repeats", repeats)):
-        if not (is_integer(count) and count >= 1):
-            raise ValueError(f"{name} must be a positive integer, got {count!r}")
+    spec: SweepSpec
+    values: list[float]
+    params_list: list
+    seeds: list[int]
+    skipped: list[SkippedPoint]
+
+    def outcome(self, dists: list[np.ndarray]) -> SweepOutcome:
+        records = [
+            RunRecord(
+                target=self.spec.target,
+                swept_param=self.spec.swept_param,
+                value=value,
+                seed=seed,
+                entropy=shannon_entropy(dist),
+            )
+            for value, seed, dist in zip(self.values, self.seeds, dists)
+        ]
+        return SweepOutcome(records=records, skipped=self.skipped)
+
+
+def _points(spec: SweepSpec, repeats: int) -> _Points:
     target = TARGETS[spec.target]
-
-    values: list[float] = []
-    params_list: list = []
-    seeds: list[int] = []
-    skipped: list[SkippedPoint] = []
+    points = _Points(spec, [], [], [], [])
     for i, value in enumerate(spec.grid()):
         installed = int(value) if spec.integer_valued else value
         try:
             params = target.params_cls(**{**spec.defaults, spec.swept_param: installed})
         except ValueError as exc:
-            skipped.append(SkippedPoint(index=i, value=value, reason=str(exc)))
+            points.skipped.append(SkippedPoint(index=i, value=value, reason=str(exc)))
             _LOG.warning(
                 "%s %s: skipped grid point %d (value %g): %s",
                 spec.target, spec.swept_param, i, value, exc,
             )
             continue
         for r in range(repeats):
-            values.append(value)
-            params_list.append(params)
-            seeds.append(mix64(spec.base_seed, i * repeats + r))
+            points.values.append(value)
+            points.params_list.append(params)
+            points.seeds.append(mix64(spec.base_seed, i * repeats + r))
+    return points
 
-    n_chunks = min(workers, len(seeds))
-    if n_chunks <= 1:
-        dists = target.run_many(params_list, seeds) if seeds else []
-    else:
-        # chunk c takes every n_chunks-th point from c on: cost often grows
-        # along a grid (time_steps, lexicon_size), and a contiguous split
-        # would leave most of it to the last worker
-        chunks = [
-            (spec.target, params_list[c::n_chunks], seeds[c::n_chunks]) for c in range(n_chunks)
-        ]
-        dists = [None] * len(seeds)
-        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
-            for c, part in enumerate(pool.map(_run_chunk, chunks)):
-                dists[c::n_chunks] = part
 
-    records = [
-        RunRecord(
-            target=spec.target,
-            swept_param=spec.swept_param,
-            value=value,
-            seed=seed,
-            entropy=shannon_entropy(dist),
-        )
-        for value, seed, dist in zip(values, seeds, dists)
-    ]
-    return SweepOutcome(records=records, skipped=skipped)
+def execute_sweeps(
+    specs: list[SweepSpec], workers: int = 1, repeats: int = 1
+) -> Generator[SweepOutcome, None, None]:
+    """Run every spec's grid; yield one SweepOutcome per spec, in spec order.
+
+    Each point runs at its grid index i, with repeats > 1 repeats times,
+    seeded by mix64(base_seed, i * repeats + r). Invalid points (the
+    installed value makes the parameter set unconstructible) are skipped,
+    logged here, before any point runs, and reported in their spec's
+    outcome, one entry per grid point.
+
+    The arguments are checked and every spec's points built when this is
+    called. With workers > 1, one process pool serves all the specs: each
+    spec's valid points are split into min(workers, n) strided chunks, and
+    every chunk of every spec is queued, in spec order, before the first
+    result is awaited, so no worker idles at the end of a spec. Closing the
+    returned generator early cancels the chunks still queued and stops the
+    running ones; no worker outlives it.
+    """
+    for name, count in (("workers", workers), ("repeats", repeats)):
+        if not (is_integer(count) and count >= 1):
+            raise ValueError(f"{name} must be a positive integer, got {count!r}")
+    all_points = [_points(spec, repeats) for spec in specs]
+    return _run(all_points, workers)
+
+
+def _run(all_points: list[_Points], workers: int) -> Generator[SweepOutcome, None, None]:
+    # chunk c of a spec takes every k-th point from c on: cost often grows
+    # along a grid (time_steps, lexicon_size), and a contiguous split would
+    # leave most of it to the last chunk
+    splits = [min(workers, len(points.seeds)) for points in all_points]
+    n_procs = min(workers, sum(splits))
+    if n_procs <= 1:
+        for points in all_points:
+            run_many = TARGETS[points.spec.target].run_many
+            yield points.outcome(run_many(points.params_list, points.seeds) if points.seeds else [])
+        return
+    # the default start method (fork on Linux) is safe here: the executor
+    # forks every worker at the first submit, before it starts its thread,
+    # and a forked worker does not re-import numpy and the package
+    pool = ProcessPoolExecutor(max_workers=n_procs)
+    queued: list[list[Future]] = []
+    try:
+        for points, k in zip(all_points, splits):
+            queued.append([
+                pool.submit(_run_chunk, points.spec.target, points.params_list[c::k], points.seeds[c::k])
+                for c in range(k)
+            ])
+        for points, futures in zip(all_points, queued):
+            dists = [None] * len(points.seeds)
+            for c, future in enumerate(futures):
+                dists[c :: len(futures)] = future.result()
+            yield points.outcome(dists)
+    finally:
+        # a consumer that stops early (a failed write, an interrupt) wants no
+        # more results: the queued chunks are cancelled and the running ones
+        # stopped, not waited for. Before Python 3.14 (terminate_workers) the
+        # executor has no public way to stop a running chunk.
+        if not all(future.done() for futures in queued for future in futures):
+            for process in pool._processes.values():
+                process.terminate()
+        pool.shutdown(cancel_futures=True)
+
+
+def execute_sweep(spec: SweepSpec, workers: int = 1, repeats: int = 1) -> SweepOutcome:
+    """The one-spec case of execute_sweeps."""
+    with closing(execute_sweeps([spec], workers, repeats)) as outcomes:
+        return next(outcomes)
 
 
 def _suite(target: str, rows, seed_offset: int, root_seed: int, steps: int,

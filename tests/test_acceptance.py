@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
-The two default sweep suites run once per session, on two workers, and
-are shared by the correlation criteria; criterion 9 checks that the
-worker count does not change a sweep's output. Everything else is
-self-contained.
+The two default sweep suites run once per session, each on one pool of
+two workers, and are shared by the correlation criteria; criterion 9
+checks that the worker count does not change a sweep's output.
+Everything else is self-contained.
 """
 
 import json
@@ -25,6 +25,7 @@ from filexlab.sweep import (
     default_filex_suite,
     default_toy_els_suite,
     execute_sweep,
+    execute_sweeps,
     log_sweep,
 )
 
@@ -42,14 +43,16 @@ _SUITE_WORKERS = 2
 @pytest.fixture(scope="session")
 def filex_suite():
     t0 = time.perf_counter()
-    out = [(spec, execute_sweep(spec, workers=_SUITE_WORKERS)) for spec in default_filex_suite()]
+    suite = default_filex_suite()
+    out = list(zip(suite, list(execute_sweeps(suite, workers=_SUITE_WORKERS))))
     return out, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
 def toy_suite():
     t0 = time.perf_counter()
-    out = [(spec, execute_sweep(spec, workers=_SUITE_WORKERS)) for spec in default_toy_els_suite()]
+    suite = default_toy_els_suite()
+    out = list(zip(suite, list(execute_sweeps(suite, workers=_SUITE_WORKERS))))
     return out, time.perf_counter() - t0
 
 

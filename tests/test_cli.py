@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -123,6 +125,22 @@ def test_sweep_is_byte_identical_across_runs_and_workers(tmp_path):
     a = (tmp_path / "a" / "filex_n_iters.csv").read_bytes()
     b = (tmp_path / "b" / "filex_n_iters.csv").read_bytes()
     assert a == b
+
+
+def test_sweep_write_failure_stops_the_pool(tmp_path):
+    # the first spec (filex n_iters) is cheap and the toy specs dear: a
+    # failed first write must cancel the queued specs, not run them out
+    args = ["sweep", "--target", "all", "--steps", "2", "--workers", "2", "--seed", "5"]
+    start = time.perf_counter()
+    assert main(args + ["--out", str(tmp_path / "full")]) == 0
+    full = time.perf_counter() - start
+    (tmp_path / "cut" / "filex_n_iters.csv").mkdir(parents=True)
+    start = time.perf_counter()
+    assert main(args + ["--out", str(tmp_path / "cut")]) == 2
+    cut = time.perf_counter() - start
+    assert multiprocessing.active_children() == []
+    assert [p.name for p in (tmp_path / "cut").iterdir()] == ["filex_n_iters.csv"]
+    assert cut < full / 2, (cut, full)
 
 
 def test_analyze_full_pipeline(tmp_path, capsys):

@@ -239,6 +239,10 @@ def test_run_many_matches_run_on_mixed_rows():
     assert len(outs) == len(rows)
     for params, seed, out in zip(rows, seeds, outs):
         assert np.array_equal(out, run(params, seed)), params
+    # rows are grouped by (beta, S), whatever order they come in
+    order = rng.permutation(len(rows))
+    shuffled = run_many([rows[i] for i in order], [seeds[i] for i in order])
+    assert all(np.array_equal(out, outs[i]) for i, out in zip(order, shuffled))
 
 
 def test_run_many_rejects_bad_lengths():

@@ -1,5 +1,7 @@
 import logging
 import math
+import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from filexlab.sweep import (
     default_filex_suite,
     default_toy_els_suite,
     execute_sweep,
+    execute_sweeps,
     log_sweep,
 )
 
@@ -34,6 +37,13 @@ def small_filex_spec(**overrides):
     )
     kw.update(overrides)
     return SweepSpec(**kw)
+
+
+def toy_time_steps_spec(low, high, steps, base_seed):
+    # buffer_size 256 skips every grid point below 256 time steps
+    defaults = {"time_steps": 512, "lexicon_size": 4, "learning_rate": 0.01,
+                "buffer_size": 256, "temperature": 1.5, "eval_samples": 200}
+    return SweepSpec(TOY_ELS, "time_steps", low, high, steps, True, defaults, base_seed)
 
 
 # ---------------------------------------------------------------- log_sweep
@@ -211,23 +221,7 @@ def test_sweep_skips_invalid_points():
 
 
 def test_execute_sweep_logs_skips(caplog):
-    spec = SweepSpec(
-        target=TOY_ELS,
-        swept_param="time_steps",
-        low=100.0,
-        high=600.0,
-        steps=3,
-        integer_valued=True,
-        defaults={
-            "time_steps": 512,
-            "lexicon_size": 4,
-            "learning_rate": 0.01,
-            "buffer_size": 256,
-            "temperature": 1.5,
-            "eval_samples": 200,
-        },
-        base_seed=1,
-    )
+    spec = toy_time_steps_spec(100.0, 600.0, 3, 1)
     with caplog.at_level(logging.WARNING):
         records = execute_sweep(spec).records
     assert len(records) < spec.steps
@@ -258,14 +252,61 @@ def test_sweep_repeats():
 
 def test_sweep_argument_validation():
     spec = small_filex_spec()
-    with pytest.raises(ValueError):
-        execute_sweep(spec, workers=0)
-    with pytest.raises(ValueError):
-        execute_sweep(spec, repeats=0)
-    with pytest.raises(ValueError):
-        execute_sweep(spec, workers=True)
-    with pytest.raises(ValueError):
-        execute_sweep(spec, repeats=True)
+    for run in (execute_sweep, lambda spec, **kw: execute_sweeps([spec], **kw)):
+        for bad in ({"workers": 0}, {"repeats": 0}, {"workers": True}, {"repeats": True}):
+            with pytest.raises(ValueError):
+                run(spec, **bad)
+    assert multiprocessing.active_children() == []
+
+
+def mixed_specs():
+    return [
+        small_filex_spec(),
+        toy_time_steps_spec(10.0, 100.0, 3, 5),  # every point skipped: no chunk
+        toy_time_steps_spec(100.0, 600.0, 3, 1),  # one valid point, fewer than workers
+        small_filex_spec(swept_param="n_iters", low=1.0, high=80.0, steps=5, base_seed=4),
+    ]
+
+
+@pytest.mark.parametrize("workers,repeats", [(1, 1), (2, 1), (2, 3)])
+def test_execute_sweeps_matches_execute_sweep_per_spec(workers, repeats):
+    specs = mixed_specs()
+    expected = [execute_sweep(spec, repeats=repeats) for spec in specs]
+    assert [len(o.records) for o in expected] == [7 * repeats, 0, repeats, 5 * repeats]
+    assert [len(o.skipped) for o in expected] == [0, 3, 2, 0]
+    outcomes = list(execute_sweeps(specs, workers=workers, repeats=repeats))
+    assert outcomes == expected
+    assert multiprocessing.active_children() == []
+
+
+def test_execute_sweeps_of_no_specs_yields_nothing():
+    assert list(execute_sweeps([], workers=2)) == []
+
+
+def test_closing_execute_sweeps_stops_running_chunks():
+    # the dear spec's chunks are already handed to workers when the
+    # consumer stops after the cheap spec: they are stopped, not waited for
+    cheap = small_filex_spec(steps=2)
+    dear = small_filex_spec(swept_param="n_iters", low=4e4, high=5e4, steps=2)
+    start = time.perf_counter()
+    assert len(list(execute_sweeps([dear], workers=2))) == 1
+    dear_s = time.perf_counter() - start
+    outcomes = execute_sweeps([cheap, dear], workers=2)
+    assert next(outcomes) == execute_sweep(cheap)
+    start = time.perf_counter()
+    outcomes.close()
+    assert time.perf_counter() - start < dear_s / 4, dear_s
+    assert multiprocessing.active_children() == []
+
+
+def test_execute_sweeps_logs_every_skip_before_running(caplog):
+    specs = mixed_specs()
+    with caplog.at_level(logging.WARNING):
+        outcomes = execute_sweeps(specs, workers=2)
+        logged = [r.message for r in caplog.records if "skipped" in r.message]
+        assert len(logged) == 5
+        assert len(list(outcomes)) == len(specs)
+    assert [r.message for r in caplog.records if "skipped" in r.message] == logged
 
 
 # ---------------------------------------------------------------- seeds

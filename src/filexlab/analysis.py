@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .filex import is_real
 from .stats import CorrelationSummary, binomial_sign_test, kendall_tau
 from .sweep import FILEX, TOY_ELS
 
@@ -70,8 +71,8 @@ def analyze_records(records, strong_threshold: float = DEFAULT_STRONG_THRESHOLD)
     fair coin flips. A repeated (target, param, seed) row is an error: it
     would count one run twice.
     """
-    if not strong_threshold >= 0:
-        raise ValueError(f"strong_threshold must be >= 0, got {strong_threshold}")
+    if not (is_real(strong_threshold) and strong_threshold >= 0):
+        raise ValueError(f"strong_threshold must be a real >= 0, got {strong_threshold!r}")
     seen = set()
     for r in records:
         key = (r.target, r.swept_param, r.seed)
@@ -146,31 +147,3 @@ def format_report(report: AnalysisReport) -> str:
         f"(binomial p = {report.strong_binomial_p:.6g})"
     )
     return "\n".join(lines) + "\n"
-
-
-def report_to_dict(report: AnalysisReport) -> dict:
-    """JSON-ready structure, one block per (target, param) plus the summaries."""
-
-    def corr(c: CorrelationSummary) -> dict:
-        return {"tau": c.tau, "p_value": c.p_value, "n": c.n, "sign": c.sign}
-
-    return {
-        "pairs": [
-            {
-                "label": pr.label,
-                "filex_param": pr.filex_param,
-                "toy_param": pr.toy_param,
-                "filex": corr(pr.filex),
-                "toy_els": corr(pr.toy_els),
-                "sign_match": pr.sign_match,
-                "strong_match": pr.strong_match,
-            }
-            for pr in report.pairs
-        ],
-        "sign_match_count": report.sign_match_count,
-        "trials": report.trials,
-        "binomial_p": report.binomial_p,
-        "strong_match_count": report.strong_match_count,
-        "strong_binomial_p": report.strong_binomial_p,
-        "strong_threshold": report.strong_threshold,
-    }

@@ -12,9 +12,10 @@ import json
 import logging
 import sys
 from contextlib import closing
+from dataclasses import asdict
 from pathlib import Path
 
-from .analysis import DEFAULT_STRONG_THRESHOLD, analyze_records, format_report, report_to_dict
+from .analysis import DEFAULT_STRONG_THRESHOLD, analyze_records, format_report
 from .records import read_metadata, read_records, write_records
 from .stats import shannon_entropy
 from .svgplot import build_plot
@@ -94,7 +95,7 @@ def _read_config(path: str) -> dict:
     return out
 
 
-def _apply_config(parser: _Parser, subs: dict, argv: list[str]) -> None:
+def _apply_config(subs: dict, argv: list[str]) -> None:
     # scan by hand: a real parse would trip on a missing subcommand first
     path = None
     for i, a in enumerate(argv):
@@ -174,9 +175,7 @@ def _cmd_analyze(args) -> int:
     report = analyze_records(records, strong_threshold=args.strong_threshold)
     sys.stdout.write(format_report(report))
     if args.out is not None:
-        Path(args.out).write_text(
-            json.dumps(report_to_dict(report), indent=2) + "\n", encoding="utf-8"
-        )
+        Path(args.out).write_text(json.dumps(asdict(report), indent=2) + "\n", encoding="utf-8")
         print(f"report written to {args.out}")
     return 0
 
@@ -199,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     parser, subs = _build_parser()
     try:
-        _apply_config(parser, subs, argv)
+        _apply_config(subs, argv)
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except ValueError as exc:

@@ -2,16 +2,18 @@
 
 CSV format: header `target,param,value,seed,entropy`, UTF-8, '.' decimal,
 value and entropy printed with 17 significant digits so doubles round-trip
-exactly. The sidecar `<stem>.meta.json` mirrors the SweepSpec that produced
-the file, plus any skipped grid points and the artifact version.
+exactly. The sidecar `<stem>.meta.json` holds the fields of the SweepSpec
+that produced the file, in field order, then its skipped grid points and
+the artifact version.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
-from .sweep import RunRecord, SkippedPoint, SweepSpec
+from .sweep import RunRecord, SweepSpec
 
 CSV_HEADER = "target,param,value,seed,entropy"
 
@@ -36,20 +38,7 @@ def write_records(csv_path, records, spec: SweepSpec | None = None, skipped=()) 
     p.write_text(format_rows(records), encoding="utf-8")
     if spec is None:
         return
-    meta = {
-        "target": spec.target,
-        "swept_param": spec.swept_param,
-        "low": spec.low,
-        "high": spec.high,
-        "steps": spec.steps,
-        "integer_valued": spec.integer_valued,
-        "defaults": spec.defaults,
-        "base_seed": spec.base_seed,
-        "skipped": [
-            {"index": s.index, "value": s.value, "reason": s.reason} for s in skipped
-        ],
-        "artifact_version": _VERSION,
-    }
+    meta = {**asdict(spec), "skipped": [asdict(s) for s in skipped], "artifact_version": _VERSION}
     metadata_path(p).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
 

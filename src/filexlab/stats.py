@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .filex import is_integer, is_real
+
 SIGN_TOLERANCE = 1e-12
 
 _MC_PERMUTATIONS = 100_000
@@ -246,9 +248,9 @@ def binomial_sign_test(successes: int, trials: int) -> float:
 
     Computed in integer arithmetic, then converted to a float.
     """
-    if not (isinstance(trials, (int, np.integer)) and trials >= 1):
+    if not (is_integer(trials) and trials >= 1):
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    if not (isinstance(successes, (int, np.integer)) and 0 <= successes <= trials):
+    if not (is_integer(successes) and 0 <= successes <= trials):
         raise ValueError(f"successes must be in [0, {trials}], got {successes!r}")
     tail = sum(math.comb(trials, k) for k in range(successes, trials + 1))
     return tail / 2**trials
@@ -268,10 +270,10 @@ def gaussian_smooth(points, bandwidth: float | None = None, grid_size: int = 200
         raise ValueError("points must be finite")
     if np.any(pts[:, 0] <= 0):
         raise ValueError("all x values must be positive")
-    if grid_size < 1:
-        raise ValueError(f"grid_size must be >= 1, got {grid_size}")
-    if bandwidth is not None and not bandwidth > 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+    if not (is_integer(grid_size) and grid_size >= 1):
+        raise ValueError(f"grid_size must be a positive integer, got {grid_size!r}")
+    if bandwidth is not None and not (is_real(bandwidth) and bandwidth > 0):
+        raise ValueError(f"bandwidth must be a positive real, got {bandwidth!r}")
 
     x, y = pts[:, 0], pts[:, 1]
     lx = np.log(x)

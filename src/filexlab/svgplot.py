@@ -20,7 +20,7 @@ _PLOT_W = _W - _ML - _MR
 _PLOT_H = _H - _MT - _MB
 
 
-def _y_axis_bits(records, metadata) -> float:
+def _y_axis_bits(metadata) -> float:
     """Plot ceiling in bits: the largest entropy the sweep could produce."""
     if metadata:
         if metadata.get("swept_param") == "lexicon_size":
@@ -44,7 +44,7 @@ def build_plot(records, metadata: dict | None = None, bandwidth: float | None = 
         raise ValueError("record values must be positive for a log axis")
     (target, param), = keys
 
-    y_max = _y_axis_bits(records, metadata)
+    y_max = _y_axis_bits(metadata)
     xs = [r.value for r in records]
     lo, hi = math.log(min(xs)), math.log(max(xs))
 

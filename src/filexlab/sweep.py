@@ -46,6 +46,10 @@ def _check_bounds(low, high) -> None:
         raise ValueError(f"low ({low}) must not exceed high ({high})")
 
 
+def _python_scalar(v):
+    return v.item() if isinstance(v, np.generic) else v
+
+
 def log_sweep(low: float, high: float, n: int) -> list[float]:
     """Geometric grid of n values from low to high, endpoints exact.
 
@@ -101,8 +105,13 @@ class SweepSpec:
             raise ValueError(f"integer_valued must be a bool, got {self.integer_valued!r}")
         if not is_integer(self.base_seed):
             raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
+        # numpy scalars are stored as Python numbers: mix64 and the JSON
+        # sidecar take only those
+        for name in ("low", "high", "steps", "base_seed"):
+            object.__setattr__(self, name, _python_scalar(getattr(self, name)))
         # parameters the spec leaves out run at the target's defaults
-        object.__setattr__(self, "defaults", {**TARGETS[self.target].defaults, **self.defaults})
+        defaults = {**TARGETS[self.target].defaults, **self.defaults}
+        object.__setattr__(self, "defaults", {k: _python_scalar(v) for k, v in defaults.items()})
 
     def grid(self) -> list[float]:
         """Post-floor grid values, one per step, non-decreasing."""

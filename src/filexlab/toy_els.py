@@ -116,15 +116,9 @@ def toy_run(params: ToyElsParams, seed: int) -> np.ndarray:
     empirical distribution of eval_samples draws from the final policy.
     Deterministic per (params, seed).
     """
-    n_updates = params.time_steps // params.buffer_size
-    if n_updates == 0:
-        raise ValueError(
-            f"time_steps ({params.time_steps}) below buffer_size "
-            f"({params.buffer_size}): zero updates"
-        )
     rng = make_rng(seed)
     state = init_state(params)
-    for _ in range(n_updates):
+    for _ in range(params.time_steps // params.buffer_size):
         state = toy_update(state, params, rng)
     p = softmax(state.logits)
     counts = categorical_counts(p, params.eval_samples, rng)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from filexlab.analysis import (
     MissingRecordsError,
     analyze_records,
     format_report,
-    report_to_dict,
 )
 from filexlab.stats import binomial_sign_test
 from filexlab.sweep import FILEX, TOY_ELS, RunRecord
@@ -136,7 +136,7 @@ def test_format_report_readable():
 
 def test_report_dict_is_json_ready():
     report = analyze_records(matched_records())
-    blob = json.dumps(report_to_dict(report))
+    blob = json.dumps(asdict(report))
     data = json.loads(blob)
     assert data["sign_match_count"] == 5
     assert len(data["pairs"]) == 5
@@ -145,5 +145,6 @@ def test_report_dict_is_json_ready():
 
 
 def test_threshold_validation():
-    with pytest.raises(ValueError):
-        analyze_records(matched_records(), strong_threshold=-0.1)
+    for bad in (-0.1, True, float("nan"), "0.2", None):
+        with pytest.raises(ValueError):
+            analyze_records(matched_records(), strong_threshold=bad)

@@ -1,6 +1,9 @@
 import json
+import struct
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from filexlab.records import (
     CSV_HEADER,
@@ -10,7 +13,7 @@ from filexlab.records import (
     read_records,
     write_records,
 )
-from filexlab.sweep import FILEX, RunRecord, SkippedPoint, SweepSpec
+from filexlab.sweep import FILEX, TARGETS, RunRecord, SkippedPoint, SweepSpec
 
 
 def sample_records():
@@ -40,6 +43,37 @@ def test_round_trip_is_exact(tmp_path):
     write_records(path, records)
     back = read_records(path)
     assert back == records  # float64 round-trip must be bit-exact
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_records = st.lists(
+    st.builds(
+        RunRecord,
+        target=st.sampled_from(list(TARGETS)),
+        swept_param=st.sampled_from(["alpha", "n_iters", "time_steps"]),
+        value=_finite,
+        seed=st.integers(0, 2**64 - 1),
+        entropy=_finite,
+    ),
+    max_size=20,
+)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_records)
+def test_round_trip_property_is_bit_exact(tmp_path, records):
+    # bit-exact: -0.0, subnormals and the largest doubles come back unchanged
+    path = tmp_path / "recs.csv"
+    write_records(path, records)
+    back = read_records(path)
+    assert back == records
+    for r, b in zip(records, back):
+        assert (_bits(b.value), _bits(b.entropy)) == (_bits(r.value), _bits(r.entropy))
 
 
 def test_header_and_formatting(tmp_path):

@@ -266,8 +266,10 @@ def test_binomial_validation():
         binomial_sign_test(21, 20)
     with pytest.raises(ValueError):
         binomial_sign_test(1, 0)
-    with pytest.raises(ValueError):
-        binomial_sign_test(0.5, 20)
+    for successes, trials in ((0.5, 20), (True, 1), (1, True), (1, 2.0), (np.bool_(True), 1)):
+        with pytest.raises(ValueError):
+            binomial_sign_test(successes, trials)
+    assert binomial_sign_test(np.int64(1), np.int64(1)) == 0.5
 
 
 # ---------------------------------------------------------------- smoothing
@@ -332,5 +334,10 @@ def test_smooth_validation():
         gaussian_smooth([(-1.0, 1.0), (2.0, 1.0)])
     with pytest.raises(ValueError):
         gaussian_smooth([(1.0, 1.0), (2.0, 1.0)], bandwidth=0.0)
-    with pytest.raises(ValueError):
-        gaussian_smooth([(1.0, 1.0), (2.0, 1.0)], grid_size=0)
+    # a bool is never a bandwidth or a grid size, and a grid size is whole
+    for kw in ({"grid_size": 0}, {"grid_size": True}, {"grid_size": 2.5}, {"grid_size": None},
+               {"bandwidth": True}, {"bandwidth": "1"}, {"bandwidth": float("nan")}):
+        with pytest.raises(ValueError):
+            gaussian_smooth([(1.0, 1.0), (2.0, 1.0)], **kw)
+    curve = gaussian_smooth([(1.0, 1.0), (2.0, 1.0)], bandwidth=np.float32(0.5), grid_size=np.int64(5))
+    assert len(curve.xs) == 5

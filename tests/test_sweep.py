@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from filexlab.filex import FilexParams, run
+from filexlab.records import metadata_path, write_records
 from filexlab.seeding import mix64
 from filexlab.stats import shannon_entropy
 from filexlab.sweep import (
@@ -146,6 +147,26 @@ def test_spec_validation():
             small_filex_spec(integer_valued=bad)
     with pytest.raises(ValueError):
         SweepSpec("filex", "n_iters", True, 10.0, 3, "no", {}, 0)
+
+
+def test_numpy_scalar_spec_runs_and_writes_the_python_sidecar(tmp_path):
+    python_spec = small_filex_spec(low=1, high=64.0, steps=3, base_seed=5,
+                                   defaults={"beta": 4, "n_iters": 20})
+    numpy_spec = small_filex_spec(low=np.int64(1), high=np.float64(64.0), steps=np.int64(3),
+                                  base_seed=np.int64(5),
+                                  defaults={"beta": np.int64(4), "n_iters": np.int64(20)})
+    assert numpy_spec == python_spec
+    for name in ("low", "high", "steps", "base_seed"):
+        assert type(getattr(numpy_spec, name)) is type(getattr(python_spec, name))
+    assert [type(v) for v in numpy_spec.defaults.values()] == [float, int, int, int]
+    paths = []
+    for name, spec in (("python", python_spec), ("numpy", numpy_spec)):
+        outcome = execute_sweep(spec)
+        path = tmp_path / f"{name}.csv"
+        write_records(path, outcome.records, spec=spec, skipped=outcome.skipped)
+        paths.append(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert metadata_path(paths[0]).read_bytes() == metadata_path(paths[1]).read_bytes()
 
 
 def test_grid_flooring_keeps_duplicates():

@@ -83,31 +83,10 @@ class FilexParams:
         check_positive(self)
 
 
-@dataclass
-class WeightState:
-    """Evolving weight vector plus the number of updates applied to it.
-
-    Invariants: every weight strictly positive; total mass equals
-    1 + iteration * alpha (each iteration adds beta draws of alpha/beta).
-    """
-
-    weights: np.ndarray
-    iteration: int = 0
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.ndim != 1 or len(self.weights) == 0:
-            raise ValueError("weights must be a non-empty 1-d vector")
-        if not np.all(self.weights > 0):
-            raise ValueError("weights must be strictly positive")
-        if self.iteration < 0:
-            raise ValueError(f"iteration must be non-negative, got {self.iteration}")
-
-
-def init_state(params: FilexParams) -> WeightState:
-    """Uniform initial state: every word gets weight 1/S, total mass 1."""
+def init_state(params: FilexParams) -> np.ndarray:
+    """Uniform initial weights: every word gets 1/S, total mass 1."""
     s = params.lexicon_size
-    return WeightState(weights=np.full(s, 1.0 / s), iteration=0)
+    return np.full(s, 1.0 / s)
 
 
 def _update(weights: np.ndarray, params: FilexParams, rng: np.random.Generator) -> None:
@@ -116,21 +95,23 @@ def _update(weights: np.ndarray, params: FilexParams, rng: np.random.Generator) 
     weights += counts * (params.alpha / params.beta)
 
 
-def step(state: WeightState, params: FilexParams, rng: np.random.Generator) -> WeightState:
-    """Apply one update iteration and return the new state.
+def step(weights: np.ndarray, params: FilexParams, rng: np.random.Generator) -> np.ndarray:
+    """Apply one update iteration to a weight vector and return the new vector.
 
-    The beta indices are drawn i.i.d. from the state's normalized weights
-    as they were at the start of the iteration; the input state is not
-    modified.
+    The weights must be S strictly positive values. The beta indices are
+    drawn i.i.d. from the normalized weights as they were at the start of
+    the iteration; the input is not modified.
     """
-    if len(state.weights) != params.lexicon_size:
+    weights = np.array(weights, dtype=np.float64)  # a copy
+    if weights.shape != (params.lexicon_size,):
         raise ValueError(
-            f"state has {len(state.weights)} weights but params.lexicon_size"
-            f" is {params.lexicon_size}"
+            f"weights must be a 1-d vector of lexicon_size = {params.lexicon_size} values,"
+            f" got shape {weights.shape}"
         )
-    weights = state.weights.copy()
+    if not np.all(weights > 0):
+        raise ValueError("weights must be strictly positive")
     _update(weights, params, rng)
-    return WeightState(weights=weights, iteration=state.iteration + 1)
+    return weights
 
 
 def run(params: FilexParams, seed: int) -> np.ndarray:
@@ -140,7 +121,7 @@ def run(params: FilexParams, seed: int) -> np.ndarray:
     lexicon. Deterministic for a fixed (params, seed).
     """
     rng = make_rng(seed)
-    weights = init_state(params).weights
+    weights = init_state(params)
     for _ in range(params.n_iters):
         _update(weights, params, rng)
     return weights / weights.sum()

@@ -66,8 +66,15 @@ def read_records(csv_path) -> list[RunRecord]:
 
 
 def read_metadata(csv_path) -> dict | None:
-    """The sidecar contents, or None when no sidecar exists."""
+    """The sidecar contents, or None when no sidecar exists.
+
+    A sidecar that is not a JSON object is a ValueError. The fields are
+    not checked here: each reader checks the ones it reads.
+    """
     p = metadata_path(csv_path)
     if not p.exists():
         return None
-    return json.loads(p.read_text(encoding="utf-8"))
+    meta = json.loads(p.read_text(encoding="utf-8"))
+    if not isinstance(meta, dict):
+        raise ValueError(f"{p}: expected a JSON object, got {type(meta).__name__}")
+    return meta

@@ -9,8 +9,9 @@ guides at minimum and maximum entropy.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
+from html import escape
 
+from .filex import is_real
 from .stats import gaussian_smooth
 
 _W, _H = 640, 440
@@ -21,15 +22,26 @@ _PLOT_H = _H - _MT - _MB
 
 
 def _y_axis_bits(metadata) -> float:
-    """Plot ceiling in bits: the largest entropy the sweep could produce."""
-    if metadata:
-        if metadata.get("swept_param") == "lexicon_size":
-            s = math.floor(metadata["high"])
-        else:
-            s = metadata.get("defaults", {}).get("lexicon_size")
-        if s and s >= 1:
-            return max(1.0, math.log2(s))
-    return 8.0
+    """Plot ceiling in bits: the largest entropy the sweep could produce.
+
+    A lexicon_size sweep needs its `high`; other sweeps use
+    `defaults.lexicon_size` when the metadata has it.
+    """
+    if not metadata:
+        return 8.0
+    if metadata.get("swept_param") == "lexicon_size":
+        name, s = "high", metadata.get("high")
+    else:
+        defaults = metadata.get("defaults", {})
+        if not isinstance(defaults, dict):
+            raise ValueError(f"metadata defaults must be an object, got {defaults!r}")
+        name, s = "defaults.lexicon_size", defaults.get("lexicon_size")
+        if s is None:
+            return 8.0
+    if not (is_real(s) and math.isfinite(s)):
+        raise ValueError(f"metadata {name} must be a finite number, got {s!r}")
+    s = math.floor(s)
+    return max(1.0, math.log2(s)) if s >= 1 else 8.0
 
 
 def build_plot(records, metadata: dict | None = None, bandwidth: float | None = None) -> str:
@@ -116,7 +128,7 @@ def build_plot(records, metadata: dict | None = None, bandwidth: float | None = 
     # labels
     parts.append(
         f'<text x="{_ML + _PLOT_W / 2:.0f}" y="{_H - 10}" font-size="13" '
-        f'text-anchor="middle" fill="#333">{escape(f"{target}: {param}")}</text>'
+        f'text-anchor="middle" fill="#333">{escape(f"{target}: {param}", quote=False)}</text>'
     )
     parts.append(
         f'<text x="16" y="{_MT + _PLOT_H / 2:.0f}" font-size="13" text-anchor="middle" '

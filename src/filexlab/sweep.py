@@ -103,6 +103,12 @@ class SweepSpec:
         _check_bounds(self.low, self.high)
         if not isinstance(self.integer_valued, bool):
             raise ValueError(f"integer_valued must be a bool, got {self.integer_valued!r}")
+        if TARGETS[self.target].param_kinds()[self.swept_param] is int and not self.integer_valued:
+            # an unfloored grid value is a float, which every point of an int field rejects
+            raise ValueError(
+                f"{self.swept_param} is an integer parameter: floor its grid"
+                " (integer_valued=True, --integer on the command line)"
+            )
         if not is_integer(self.base_seed):
             raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
         # numpy scalars are stored as Python numbers: mix64 and the JSON

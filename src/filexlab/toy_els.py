@@ -47,35 +47,18 @@ class ToyElsParams:
             )
 
 
-@dataclass
-class ToyElsState:
-    """Policy logits plus a count of updates applied so far."""
-
-    logits: np.ndarray
-    updates_applied: int = 0
-
-    def __post_init__(self) -> None:
-        self.logits = np.asarray(self.logits, dtype=np.float64)
-        if self.logits.ndim != 1 or len(self.logits) == 0:
-            raise ValueError("logits must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(self.logits)):
-            raise ValueError("logits must be finite")
-        if self.updates_applied < 0:
-            raise ValueError(f"updates_applied must be >= 0, got {self.updates_applied}")
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max()
     e = np.exp(z)
     return e / e.sum()
 
 
-def init_state(params: ToyElsParams) -> ToyElsState:
+def init_state(params: ToyElsParams) -> np.ndarray:
     """Uniform policy: all logits zero."""
-    return ToyElsState(logits=np.zeros(params.lexicon_size), updates_applied=0)
+    return np.zeros(params.lexicon_size)
 
 
-def toy_update(state: ToyElsState, params: ToyElsParams, rng: np.random.Generator) -> ToyElsState:
+def toy_update(logits: np.ndarray, params: ToyElsParams, rng: np.random.Generator) -> np.ndarray:
     """One buffer collection plus one ascent step.
 
     Draws buffer_size relaxed messages y_b = softmax((theta + g_b) / T),
@@ -84,12 +67,17 @@ def toy_update(state: ToyElsState, params: ToyElsParams, rng: np.random.Generato
     mean_b(y_b) - softmax(theta). The raw direction is rescaled to a fixed
     root-mean-square step length of learning_rate, the way adaptive
     optimizers normalize gradient magnitude; a zero gradient is a no-op.
+    The logits must be S finite values; a new vector is returned and the
+    input is not modified.
     """
-    theta = state.logits
-    if len(theta) != params.lexicon_size:
+    theta = np.asarray(logits, dtype=np.float64)
+    if theta.shape != (params.lexicon_size,):
         raise ValueError(
-            f"state has {len(theta)} logits, params expect {params.lexicon_size}"
+            f"logits must be a 1-d vector of lexicon_size = {params.lexicon_size} values,"
+            f" got shape {theta.shape}"
         )
+    if not np.isfinite(theta).all():
+        raise ValueError("logits must be finite")
     # in place on the one buffer-sized array; each step rounds exactly as
     # the out-of-place expression (theta + g) / T etc. would
     y = rng.gumbel(size=(params.buffer_size, params.lexicon_size))
@@ -103,10 +91,8 @@ def toy_update(state: ToyElsState, params: ToyElsParams, rng: np.random.Generato
     grad -= softmax(theta)
     rms = math.sqrt(np.add.reduce(grad * grad) / params.lexicon_size)
     if rms > 0.0:
-        theta = theta + params.learning_rate * grad / rms
-    else:
-        theta = theta.copy()
-    return ToyElsState(logits=theta, updates_applied=state.updates_applied + 1)
+        return theta + params.learning_rate * grad / rms
+    return theta.copy()
 
 
 def toy_run(params: ToyElsParams, seed: int) -> np.ndarray:
@@ -117,9 +103,8 @@ def toy_run(params: ToyElsParams, seed: int) -> np.ndarray:
     Deterministic per (params, seed).
     """
     rng = make_rng(seed)
-    state = init_state(params)
+    theta = init_state(params)
     for _ in range(params.time_steps // params.buffer_size):
-        state = toy_update(state, params, rng)
-    p = softmax(state.logits)
-    counts = categorical_counts(p, params.eval_samples, rng)
+        theta = toy_update(theta, params, rng)
+    counts = categorical_counts(softmax(theta), params.eval_samples, rng)
     return counts / params.eval_samples

@@ -143,12 +143,12 @@ def test_criterion_4_mass_conservation():
             lexicon_size=int(np.floor(2 ** rng.uniform(3, 8))),
             n_iters=int(np.floor(10 ** rng.uniform(0, 3))),
         )
-        state = init_state(params)
+        weights = init_state(params)
         step_rng = make_rng(int(rng.integers(2**63)))
         for _ in range(params.n_iters):
-            state = step(state, params, step_rng)
+            weights = step(weights, params, step_rng)
         expected = 1.0 + params.n_iters * params.alpha
-        worst = max(worst, abs(state.weights.sum() - expected) / expected)
+        worst = max(worst, abs(weights.sum() - expected) / expected)
     ok = worst <= 1e-9
     _verdict(4, ok, f"1000 random configs, worst relative mass error {worst:.2e}")
 

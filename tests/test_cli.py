@@ -94,6 +94,15 @@ def test_sweep_single_param(tmp_path, capsys):
     assert meta["base_seed"] == 5 and meta["steps"] == 4
 
 
+def test_sweep_int_param_without_integer_exits_one(tmp_path, capsys):
+    # every unfloored grid value is a float, which the int field would reject
+    rc = main(["sweep", "--target", "filex", "--param", "beta", "--low", "1",
+               "--high", "1000", "--steps", "4", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "--integer" in capsys.readouterr().err
+    assert not (tmp_path / "filex_beta.csv").exists()
+
+
 def test_sweep_suite_and_plot_round_trip(tmp_path):
     rc = main([
         "sweep", "--target", "filex", "--steps", "6", "--seed", "1",
@@ -185,6 +194,26 @@ def test_analyze_mixed_artifact_versions_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "mix artifact versions" in err
     assert "'0.1.0'" in err and "'0.2.0'" in err
+
+
+@pytest.mark.parametrize("command, sidecar", [
+    ("plot", [1, 2]),
+    ("analyze", [1, 2]),
+    ("analyze", "0.1.0"),
+    ("plot", {"swept_param": "lexicon_size"}),
+    ("plot", {"swept_param": "lexicon_size", "high": "256"}),
+    ("plot", {"defaults": {"lexicon_size": "64"}}),
+    ("plot", {"defaults": [64]}),
+    ("analyze", {"artifact_version": ["0.1.0"]}),
+], ids=["plot-list", "analyze-list", "analyze-string", "plot-no-high", "plot-string-high",
+        "plot-string-lexicon-size", "plot-list-defaults", "analyze-list-version"])
+def test_malformed_sidecar_exits_one(tmp_path, capsys, command, sidecar):
+    paths = synth_suite_files(tmp_path)
+    lexicon_csv = paths[1]  # filex lexicon_size
+    metadata_path(lexicon_csv).write_text(json.dumps(sidecar), encoding="utf-8")
+    args = ["plot", lexicon_csv] if command == "plot" else ["analyze", *paths]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_analyze_missing_file_exits_two(tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from filexlab.filex import FilexParams, WeightState, init_state, run, run_batch, run_many, step
+from filexlab.filex import FilexParams, init_state, run, run_batch, run_many, step
 from filexlab.seeding import make_rng
 from filexlab.stats import shannon_entropy
 
@@ -36,50 +38,80 @@ def test_params_validation():
 
 
 def test_state_validation():
+    # step takes a 1-d vector of S strictly positive weights
+    params = FilexParams(alpha=1.0, beta=2, lexicon_size=2, n_iters=1)
+    step(np.array([0.5, 0.5]), params, make_rng(0))
+    for bad in ([0.5, 0.0], [0.5, -0.5], [0.5, np.nan], [[0.5, 0.5]], [0.5], [0.5] * 3):
+        with pytest.raises(ValueError):
+            step(np.array(bad), params, make_rng(0))
+
+
+_weights = st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=32)
+_alphas = st.floats(1e-3, 1e3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_weights, _alphas, st.integers(1, 100), st.integers(0, 2**64 - 1))
+def test_step_property_adds_alpha_and_keeps_input(weights, alpha, beta, seed):
+    weights = np.array(weights)
+    before = weights.copy()
+    params = FilexParams(alpha=alpha, beta=beta, lexicon_size=len(weights), n_iters=1)
+    nxt = step(weights, params, make_rng(seed))
+    assert np.array_equal(weights, before)
+    assert nxt.shape == weights.shape
+    assert np.all(nxt > 0)
+    assert nxt.sum() == pytest.approx(before.sum() + alpha, rel=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_weights, st.integers(0, 31), st.sampled_from([0.0, -1.0, -0.0, np.nan, -np.inf]),
+       st.sampled_from(["value", "longer", "shorter", "2-d"]))
+def test_step_property_rejects_bad_weights(weights, at, bad, how):
+    weights = np.array(weights)
+    params = FilexParams(alpha=1.0, beta=4, lexicon_size=len(weights), n_iters=1)
+    if how == "value":
+        weights[at % len(weights)] = bad
+    elif how == "longer":
+        weights = np.append(weights, 1.0)
+    elif how == "shorter":
+        weights = weights[:-1]
+    else:
+        weights = weights[None, :]
     with pytest.raises(ValueError):
-        WeightState(weights=np.array([0.5, 0.0]), iteration=0)
-    with pytest.raises(ValueError):
-        WeightState(weights=np.array([0.5, -0.5]), iteration=0)
-    with pytest.raises(ValueError):
-        WeightState(weights=np.array([0.5, 0.5]), iteration=-1)
+        step(weights, params, make_rng(0))
 
 
 def test_init_uniform():
-    s4 = init_state(FilexParams(alpha=1.0, beta=8, lexicon_size=4, n_iters=1))
-    assert np.array_equal(s4.weights, np.full(4, 0.25))
-    assert s4.iteration == 0
+    w4 = init_state(FilexParams(alpha=1.0, beta=8, lexicon_size=4, n_iters=1))
+    assert np.array_equal(w4, np.full(4, 0.25))
 
-    s1 = init_state(FilexParams(alpha=1.0, beta=8, lexicon_size=1, n_iters=1))
-    assert np.array_equal(s1.weights, np.array([1.0]))
+    w1 = init_state(FilexParams(alpha=1.0, beta=8, lexicon_size=1, n_iters=1))
+    assert np.array_equal(w1, np.array([1.0]))
 
-    s64 = init_state(FilexParams(alpha=1.0, beta=8, lexicon_size=64, n_iters=1))
-    assert np.all(s64.weights == 0.015625)
-    assert s64.weights.sum() == 1.0
+    w64 = init_state(FilexParams(alpha=1.0, beta=8, lexicon_size=64, n_iters=1))
+    assert np.all(w64 == 0.015625)
+    assert w64.sum() == 1.0
 
 
 def test_step_single_word_adds_alpha():
     params = FilexParams(alpha=0.7, beta=3, lexicon_size=1, n_iters=1)
-    state = init_state(params)
-    nxt = step(state, params, make_rng(0))
-    assert nxt.weights[0] == pytest.approx(1.7, rel=1e-15)
-    assert nxt.iteration == 1
+    weights = init_state(params)
+    nxt = step(weights, params, make_rng(0))
+    assert nxt[0] == pytest.approx(1.7, rel=1e-15)
     # original untouched
-    assert state.weights[0] == 1.0
+    assert weights[0] == 1.0
 
 
-def test_step_mass_and_iteration():
+def test_step_mass():
     params = FilexParams(alpha=0.5, beta=4, lexicon_size=3, n_iters=1)
-    state = init_state(params)
-    nxt = step(state, params, make_rng(5))
-    assert nxt.weights.sum() == pytest.approx(1.5, rel=1e-12)
-    assert nxt.iteration == 1
+    nxt = step(init_state(params), params, make_rng(5))
+    assert nxt.sum() == pytest.approx(1.5, rel=1e-12)
 
 
 def test_step_dimension_mismatch():
     params = FilexParams(alpha=1.0, beta=2, lexicon_size=3, n_iters=1)
-    state = WeightState(weights=np.array([0.5, 0.5]), iteration=0)
     with pytest.raises(ValueError):
-        step(state, params, make_rng(0))
+        step(np.array([0.5, 0.5]), params, make_rng(0))
 
 
 def test_step_two_word_count_distribution():
@@ -88,10 +120,10 @@ def test_step_two_word_count_distribution():
     rng = make_rng(123)
     n = 20_000
     seen = {0.0: 0, 0.5: 0, 1.0: 0}
-    state = init_state(params)
+    weights = init_state(params)
     for _ in range(n):
-        nxt = step(state, params, rng)
-        seen[round(nxt.weights[0] - 0.5, 10)] += 1
+        nxt = step(weights, params, rng)
+        seen[round(nxt[0] - 0.5, 10)] += 1
     for gain, expected in ((0.0, 0.25), (0.5, 0.5), (1.0, 0.25)):
         se = (expected * (1 - expected) / n) ** 0.5
         assert abs(seen[gain] / n - expected) < 4 * se
@@ -105,11 +137,11 @@ def test_step_multinomial_chisquare():
     trials = 100_000
     cells = list(all_count_vectors(4, 3))
     observed = dict.fromkeys(cells, 0)
-    state = init_state(params)
+    weights = init_state(params)
     unit = params.alpha / params.beta
     for _ in range(trials):
-        nxt = step(state, params, rng)
-        counts = tuple(int(round(d / unit)) for d in nxt.weights - state.weights)
+        nxt = step(weights, params, rng)
+        counts = tuple(int(round(d / unit)) for d in nxt - weights)
         observed[counts] += 1
     stat = 0.0
     for cell in cells:
@@ -121,17 +153,17 @@ def test_step_multinomial_chisquare():
 def test_step_martingale_from_skewed_state():
     # E[normalized weights after step] equals current normalized weights
     params = FilexParams(alpha=2.0, beta=4, lexicon_size=5, n_iters=1)
-    base = WeightState(weights=np.array([3.0, 1.0, 0.5, 0.25, 0.25]), iteration=0)
-    p0 = base.weights / base.weights.sum()
+    base = np.array([3.0, 1.0, 0.5, 0.25, 0.25])
+    p0 = base / base.sum()
     rng = make_rng(2024)
     n = 20_000
     acc = np.zeros(5)
     for _ in range(n):
         nxt = step(base, params, rng)
-        acc += nxt.weights / nxt.weights.sum()
+        acc += nxt / nxt.sum()
     mean = acc / n
     # per-component 4-sigma band, sd measured from the binomial-ish spread
-    spread = params.alpha / (base.weights.sum() + params.alpha)
+    spread = params.alpha / (base.sum() + params.alpha)
     assert np.all(np.abs(mean - p0) < 4 * spread / np.sqrt(n))
 
 
@@ -183,12 +215,12 @@ def test_mass_conservation_through_steps():
             lexicon_size=int(rng.integers(1, 40)),
             n_iters=int(rng.integers(1, 60)),
         )
-        state = init_state(params)
+        weights = init_state(params)
         step_rng = make_rng(int(rng.integers(2**32)))
         for _ in range(params.n_iters):
-            state = step(state, params, step_rng)
+            weights = step(weights, params, step_rng)
         expected = 1.0 + params.n_iters * params.alpha
-        assert abs(state.weights.sum() - expected) <= 1e-9 * expected
+        assert abs(weights.sum() - expected) <= 1e-9 * expected
 
 
 def test_run_batch_singleton_and_order():

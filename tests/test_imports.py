@@ -1,15 +1,21 @@
-"""Every name a filexlab module imports is used in that module.
+"""Import hygiene of the filexlab modules.
 
-An import kept on purpose carries `# noqa: F401` on its line, as
-`cli.execute_sweep` does for the benchmark tracer.
+Every name a module imports is used in that module; an import kept on
+purpose carries `# noqa: F401` on its line, as `cli.execute_sweep` does
+for the benchmark tracer. No module imports a `_`-prefixed name from
+another filexlab module. Importing the CLI does not pull in the network
+stack.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "filexlab"
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,6 +46,47 @@ def test_checker_finds_unused_and_honours_noqa():
     assert unused_imports(source) == ["os (line 1)", "b (line 3)"]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """`_`-prefixed names the source imports from filexlab modules."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "filexlab"
+        ):
+            where = "." * node.level + (f"{node.module}." if node.module else "")
+            out += [f"{where}{a.name} (line {node.lineno})"
+                    for a in node.names if a.name.startswith("_")]
+    return out
+
+
+def test_private_checker_finds_private_names():
+    source = (
+        "from __future__ import annotations\n"
+        "from os import _exit\n"
+        "from .filex import _update, run\n"
+        "from filexlab.stats import _p_exact\n"
+        "from . import _secret\n"
+    )
+    assert private_imports(source) == [
+        ".filex._update (line 3)", "filexlab.stats._p_exact (line 4)", "._secret (line 5)",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_no_private_names(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_leaves_out_urllib():
+    # xml.sax.saxutils would pull in urllib.request, and with it http.client,
+    # ssl and email: tens of milliseconds in every CLI process
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import filexlab.cli; "
+            "print('urllib.request' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filexlab.seeding import make_rng
 from filexlab.stats import shannon_entropy
-from filexlab.toy_els import ToyElsParams, ToyElsState, init_state, softmax, toy_run, toy_update
+from filexlab.toy_els import ToyElsParams, init_state, softmax, toy_run, toy_update
 
 
 def make_params(**overrides):
@@ -45,28 +47,60 @@ def test_params_validation():
 
 
 def test_state_validation():
-    ToyElsState(logits=np.zeros(4))
+    # toy_update takes a 1-d vector of S finite logits
+    params = make_params(lexicon_size=2, buffer_size=8, time_steps=8)
+    toy_update(np.array([-1.0, 0.0]), params, make_rng(0))
+    for bad in ([1.0, np.nan], [np.inf, 0.0], [0.0, -np.inf], [[0.0, 0.0]], [0.0], [0.0] * 3):
+        with pytest.raises(ValueError):
+            toy_update(np.array(bad), params, make_rng(0))
+
+
+_logits = st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=32)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_logits, st.integers(1, 64), st.floats(1e-4, 1.0), st.floats(0.05, 20.0),
+       st.integers(0, 2**64 - 1))
+def test_update_property_is_finite_and_keeps_input(logits, buffer_size, learning_rate,
+                                                   temperature, seed):
+    theta = np.array(logits)
+    before = theta.copy()
+    params = make_params(lexicon_size=len(theta), buffer_size=buffer_size, time_steps=buffer_size,
+                         learning_rate=learning_rate, temperature=temperature)
+    nxt = toy_update(theta, params, make_rng(seed))
+    assert np.array_equal(theta, before)
+    assert nxt.shape == theta.shape
+    assert np.all(np.isfinite(nxt))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_logits, st.integers(0, 31), st.sampled_from([np.nan, np.inf, -np.inf]),
+       st.sampled_from(["value", "longer", "shorter", "2-d"]))
+def test_update_property_rejects_bad_logits(logits, at, bad, how):
+    theta = np.array(logits)
+    params = make_params(lexicon_size=len(theta), buffer_size=4, time_steps=4)
+    if how == "value":
+        theta[at % len(theta)] = bad
+    elif how == "longer":
+        theta = np.append(theta, 0.0)
+    elif how == "shorter":
+        theta = theta[:-1]
+    else:
+        theta = theta[None, :]
     with pytest.raises(ValueError):
-        ToyElsState(logits=np.array([1.0, float("nan")]))
-    with pytest.raises(ValueError):
-        ToyElsState(logits=np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        ToyElsState(logits=np.zeros(4), updates_applied=-1)
+        toy_update(theta, params, make_rng(0))
 
 
 def test_update_single_word_is_noop():
     params = make_params(lexicon_size=1, buffer_size=8, time_steps=8)
-    state = init_state(params)
-    nxt = toy_update(state, params, make_rng(3))
-    assert np.array_equal(nxt.logits, np.zeros(1))
-    assert nxt.updates_applied == 1
+    nxt = toy_update(init_state(params), params, make_rng(3))
+    assert np.array_equal(nxt, np.zeros(1))
 
 
 def test_update_dimension_mismatch():
     params = make_params(lexicon_size=4)
-    state = ToyElsState(logits=np.zeros(3))
     with pytest.raises(ValueError):
-        toy_update(state, params, make_rng(0))
+        toy_update(np.zeros(3), params, make_rng(0))
 
 
 def test_update_high_temperature_pulls_leader_down():
@@ -79,23 +113,22 @@ def test_update_high_temperature_pulls_leader_down():
         temperature=1e6,
         eval_samples=10,
     )
-    state = ToyElsState(logits=np.array([5.0, 0.0, 0.0, 0.0]))
+    theta = np.array([5.0, 0.0, 0.0, 0.0])
     for seed in range(20):
-        nxt = toy_update(state, params, make_rng(seed))
-        assert nxt.logits[0] < state.logits[0]
+        nxt = toy_update(theta, params, make_rng(seed))
+        assert nxt[0] < theta[0]
 
 
 def test_update_zero_mean_at_uniform():
     # from uniform logits the expected applied update vanishes by symmetry
     params = make_params(lexicon_size=6, buffer_size=16, time_steps=16)
-    state = init_state(params)
+    theta = init_state(params)
     rng = make_rng(77)
     n = 10_000
     acc = np.zeros(6)
     acc_sq = np.zeros(6)
     for _ in range(n):
-        nxt = toy_update(state, params, rng)
-        delta = nxt.logits - state.logits
+        delta = toy_update(theta, params, rng) - theta
         acc += delta
         acc_sq += delta * delta
     mean = acc / n
@@ -108,9 +141,8 @@ def test_update_frozen_buffer_oracle():
     # must come from the same frozen logits
     params = make_params(lexicon_size=5, buffer_size=3, time_steps=3)
     theta0 = np.array([0.4, -0.2, 0.0, 1.0, -1.2])
-    state = ToyElsState(logits=theta0.copy())
     seed = 4242
-    nxt = toy_update(state, params, make_rng(seed))
+    nxt = toy_update(theta0.copy(), params, make_rng(seed))
 
     rng = make_rng(seed)
     g = rng.gumbel(size=(3, 5))
@@ -123,7 +155,7 @@ def test_update_frozen_buffer_oracle():
     grad = y.mean(axis=0) - p
     rms = np.sqrt(np.mean(grad * grad))
     expected = theta0 + params.learning_rate * grad / rms
-    assert np.array_equal(nxt.logits, expected)
+    assert np.array_equal(nxt, expected)
 
 
 def test_run_no_learning_limit():
@@ -176,10 +208,9 @@ def test_run_update_count_is_floor():
         eval_samples=100,
     )
     rng = make_rng(5)
-    state = init_state(params)
-    state = toy_update(state, params, rng)
-    state = toy_update(state, params, rng)
-    p = softmax(state.logits)
+    theta = toy_update(init_state(params), params, rng)
+    theta = toy_update(theta, params, rng)
+    p = softmax(theta)
     cs = np.cumsum(p)
     u = rng.random(100) * cs[-1]
     counts = np.bincount(np.searchsorted(cs, u, side="left"), minlength=4)

@@ -10,6 +10,7 @@ the artifact version.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from .sweep import RunRecord, SweepSpec
 
 CSV_HEADER = "target,param,value,seed,entropy"
 
-_VERSION = "0.1.0"
+_VERSION = "0.2.0"
 
 
 def metadata_path(csv_path) -> Path:
@@ -32,14 +33,28 @@ def format_rows(records) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    # a temp file in the same directory, then one rename: a reader sees the
+    # old file or the whole new one, never a truncated write; the temp file
+    # is removed on any failure, interrupts included
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_records(csv_path, records, spec: SweepSpec | None = None, skipped=()) -> None:
-    """Write the CSV; when a spec is given, write the metadata sidecar too."""
+    """Write the CSV; when a spec is given, write the metadata sidecar too.
+    Each file is replaced atomically: a failed write leaves the old one whole."""
     p = Path(csv_path)
-    p.write_text(format_rows(records), encoding="utf-8")
+    _write_atomic(p, format_rows(records))
     if spec is None:
         return
     meta = {**asdict(spec), "skipped": [asdict(s) for s in skipped], "artifact_version": _VERSION}
-    metadata_path(p).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+    _write_atomic(metadata_path(p), json.dumps(meta, indent=2) + "\n")
 
 
 def read_records(csv_path) -> list[RunRecord]:

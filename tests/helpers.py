@@ -1,7 +1,8 @@
 """Independent oracles used across test modules.
 
 Everything here is deliberately naive: O(n^2) pair counting for tau,
-closed-form multinomial pmf, direct tail enumeration. The point is that
+closed-form multinomial pmf, direct tail enumeration, the FiLex expected
+collision probability as a plain product. The point is that
 none of it shares code with the package implementations it checks.
 """
 
@@ -86,3 +87,17 @@ def all_count_vectors(n_trials: int, k: int):
 def entropy_oracle(p) -> float:
     """Plain direct entropy in bits."""
     return float(sum(-q * math.log2(q) for q in p if q > 0))
+
+
+def expected_collision(params) -> float:
+    """E[Q_N], Q = sum p_i^2 of the normalized FiLex weights after n_iters.
+
+    One iteration adds alpha/beta per draw to a total mass M_t = 1 + t alpha,
+    and E[Q_t | Q_{t-1}] = Q_{t-1} + (1 - Q_{t-1}) alpha^2 / (beta M_t^2), so
+    1 - E[Q_N] = (1 - 1/S) prod_{t=1..N} (1 - alpha^2 / (beta (1 + t alpha)^2)).
+    """
+    a, b = params.alpha, params.beta
+    rest = 1.0 - 1.0 / params.lexicon_size
+    for t in range(1, params.n_iters + 1):
+        rest *= 1.0 - a * a / (b * (1.0 + t * a) ** 2)
+    return 1.0 - rest

@@ -8,7 +8,7 @@ from filexlab.filex import FilexParams, init_state, run, run_batch, run_many, st
 from filexlab.seeding import make_rng
 from filexlab.stats import shannon_entropy
 
-from helpers import all_count_vectors, multinomial_pmf
+from helpers import all_count_vectors, expected_collision, multinomial_pmf
 
 DEFAULTS = dict(alpha=1.0, beta=8, lexicon_size=64, n_iters=1000)
 
@@ -301,3 +301,53 @@ def test_entropy_decreases_with_more_iterations():
     h_short = np.mean([shannon_entropy(o) for o in run_batch(short, list(range(200)))])
     h_long = np.mean([shannon_entropy(o) for o in run_batch(long, list(range(200)))])
     assert h_long < h_short
+
+
+def test_expected_collision_is_polya_at_beta_one():
+    # beta = 1 is the Polya urn: the product telescopes to
+    # (1 - 1/S)(1 + (N+1) alpha) / ((1 + alpha)(1 + N alpha))
+    for alpha in (1e-3, 0.5, 1.0, 10.0, 1e3):
+        for s in (1, 2, 64):
+            for n in (1, 7, 1000):
+                params = FilexParams(alpha=alpha, beta=1, lexicon_size=s, n_iters=n)
+                polya = (1 - 1 / s) * (1 + (n + 1) * alpha) / ((1 + alpha) * (1 + n * alpha))
+                assert abs(expected_collision(params) - (1 - polya)) <= 1e-12, params
+
+
+# (alpha, beta, S, N): the Polya urn, a strong-update case and two middling ones
+_COLLISION_CASES = [
+    FilexParams(alpha=1.0, beta=8, lexicon_size=16, n_iters=50),
+    FilexParams(alpha=10.0, beta=4, lexicon_size=8, n_iters=20),
+    FilexParams(alpha=0.3, beta=1, lexicon_size=32, n_iters=60),
+    FilexParams(alpha=2.0, beta=32, lexicon_size=64, n_iters=30),
+]
+
+
+def _collision_z(params, dists) -> float:
+    q = np.array([np.sum(d * d) for d in dists])
+    return (q.mean() - expected_collision(params)) / (q.std(ddof=1) / np.sqrt(len(q)))
+
+
+def test_mean_collision_matches_closed_form():
+    # every path to a FiLex outcome (run_batch, run_many on interleaved
+    # rows, a step loop) must give E[sum p^2] as in the closed form: 12
+    # z-scores, and |z| <= 4 bounds the false-alarm rate by 12 * 6.3e-5
+    n = 2000
+    zs = {}
+    for i, params in enumerate(_COLLISION_CASES):
+        zs["run_batch", i] = _collision_z(params, run_batch(params, list(range(n))))
+    rows = [params for _ in range(n) for params in _COLLISION_CASES]
+    dists = run_many(rows, list(range(10**6, 10**6 + len(rows))))
+    k = len(_COLLISION_CASES)
+    for i, params in enumerate(_COLLISION_CASES):
+        zs["run_many", i] = _collision_z(params, dists[i::k])
+    for i, params in enumerate(_COLLISION_CASES):
+        rng = make_rng(7 + i)
+        dists = []
+        for _ in range(n // 4):
+            weights = init_state(params)
+            for _ in range(params.n_iters):
+                weights = step(weights, params, rng)
+            dists.append(weights / weights.sum())
+        zs["step", i] = _collision_z(params, dists)
+    assert all(abs(z) <= 4 for z in zs.values()), zs

@@ -14,7 +14,8 @@ def test_tracer_installs_and_removes():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     hooked = [(sweep, "filex_run"), (sweep, "toy_run"), (sweep, "shannon_entropy"),
-              (cli, "execute_sweep"), (filex, "categorical_counts"), (toy_els, "toy_update")]
+              (cli, "execute_sweep"), (filex, "categorical_counts"), (toy_els, "categorical_counts"),
+              (toy_els, "toy_update")]
     before = [getattr(m, name) for m, name in hooked]
     tracer = tracing.Tracer()
     tracing.install(tracer)

@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import pytest
@@ -101,6 +102,22 @@ def test_write_with_sidecar(tmp_path):
     assert meta["base_seed"] == 5
     assert meta["skipped"] == [{"index": 0, "value": 0.001, "reason": "synthetic"}]
     assert "artifact_version" in meta
+
+
+def test_failed_replace_keeps_earlier_files(tmp_path, monkeypatch):
+    # the rename is the only step that touches the target: when it fails,
+    # the earlier CSV and sidecar stay whole and no temp file is left
+    path = tmp_path / "swp.csv"
+    write_records(path, sample_records(), spec=sample_spec())
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        write_records(path, sample_records()[:1], spec=sample_spec())
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_read_metadata_roundtrip(tmp_path):

@@ -145,7 +145,8 @@ def test_update_frozen_buffer_oracle():
     nxt = toy_update(theta0.copy(), params, make_rng(seed))
 
     rng = make_rng(seed)
-    g = rng.gumbel(size=(3, 5))
+    # exponential race: the Gumbel noise is -log of the clamped Exp(1) draws
+    g = -np.log(np.maximum(rng.standard_exponential((3, 5)), np.finfo(float).tiny))
     z = (theta0 + g) / params.temperature
     z -= z.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -156,6 +157,39 @@ def test_update_frozen_buffer_oracle():
     rms = np.sqrt(np.mean(grad * grad))
     expected = theta0 + params.learning_rate * grad / rms
     assert np.array_equal(nxt, expected)
+
+
+class _ZeroExponential:
+    """A generator stand-in whose Exp(1) draws hold an exact 0.0."""
+
+    def standard_exponential(self, size):
+        e = np.ones(size)
+        e[0, 0] = 0.0
+        return e
+
+
+def test_update_survives_zero_exponential_draw():
+    # -log 0 = inf would turn the softmax row into NaN; clamped, the draw is
+    # the largest finite noise (about 708), so its row is one-hot on word 0
+    # and logit 0 must rise
+    params = make_params(lexicon_size=4, buffer_size=3, time_steps=3)
+    theta = np.array([0.5, 0.0, -0.5, 1.0])
+    nxt = toy_update(theta, params, _ZeroExponential())
+    assert np.all(np.isfinite(nxt))
+    assert nxt[0] > theta[0]
+
+
+def test_update_gumbel_max_exactness():
+    # at B=1 and T -> 0 the relaxed message is the hard argmax of theta + g,
+    # so logit 0 rises exactly when word 0 wins the race: probability
+    # softmax(theta)[0] if the noise is standard Gumbel
+    params = make_params(lexicon_size=2, buffer_size=1, time_steps=1, temperature=1e-3)
+    theta = np.array([1.3, -0.4])
+    rng = make_rng(2024)
+    n = 20_000
+    wins = sum(toy_update(theta, params, rng)[0] > theta[0] for _ in range(n))
+    p = softmax(theta)[0]
+    assert abs(wins / n - p) <= 4 * np.sqrt(p * (1 - p) / n)
 
 
 def test_run_no_learning_limit():
@@ -210,10 +244,7 @@ def test_run_update_count_is_floor():
     rng = make_rng(5)
     theta = toy_update(init_state(params), params, rng)
     theta = toy_update(theta, params, rng)
-    p = softmax(theta)
-    cs = np.cumsum(p)
-    u = rng.random(100) * cs[-1]
-    counts = np.bincount(np.searchsorted(cs, u, side="left"), minlength=4)
+    counts = rng.multinomial(100, softmax(theta))
     assert np.array_equal(toy_run(params, 5), counts / 100)
 
 

@@ -1,15 +1,20 @@
 """Statistics toolkit: entropy, Kendall tau-b, sign test, kernel smoothing.
 
 Everything here is a pure function of its inputs. The Kendall p-value
-uses three regimes picked by sample size: exact permutation enumeration
-for n <= 8, seeded Monte-Carlo permutations for n <= 50, and the
-tie-corrected normal approximation above that.
+takes one of four routes, picked by sample size and ties:
+
+- n > 50: the tie-corrected normal approximation;
+- n <= 50 with at most one margin tied: the exact permutation null, from
+  the integer inversion counts of a random (multiset) permutation;
+- n <= 8 with both margins tied: exact enumeration of all n! permutations;
+- 9 <= n <= 50 with both margins tied: seeded Monte-Carlo permutations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -121,7 +126,7 @@ def _dense_ranks(values: np.ndarray) -> np.ndarray:
     """0-based ranks of the distinct values, tied values sharing one, as int8.
 
     They keep every order and tie of the values, so C - D is unchanged;
-    only the permutation regimes (n <= 50) use them, so they fit in int8.
+    only enumeration and Monte Carlo (n <= 50) use them, so they fit in int8.
     """
     return np.unique(values, return_inverse=True)[1].astype(np.int8)
 
@@ -161,7 +166,47 @@ def _all_permutations(n: int) -> np.ndarray:
     return perms
 
 
-def _p_exact(pairs, yranks: np.ndarray, observed_cmd: int) -> float:
+def _inversion_counts(n: int, groups) -> list[int]:
+    """counts[i]: arrangements of n items, tied in groups of the given
+    sizes, that have i inversions (pairs out of order; tied pairs never are).
+
+    Their generating function is the q-multinomial [n]_q! / prod [g]_q!,
+    [m]_q = 1 + q + ... + q^(m-1) (MacMahon); with no ties it is the
+    Mahonian distribution. Groups of one may be left out. The counts are
+    Python ints: they sum to n! / prod g!, about 3e64 at n = 50.
+    """
+    counts = [1]
+    for m in range(2, n + 1):
+        # times [m]_q: each count becomes the sum of the m counts up to it
+        run = [0, *accumulate(counts + [0] * (m - 1))]
+        counts = [hi - lo for hi, lo in zip(run[1:], [0] * (m - 1) + run)]
+    for g in groups:
+        for m in range(2, g + 1):
+            # divided by [m]_q = (1 - q^m) / (1 - q): times 1 - q, then a
+            # running sum with stride m
+            quot = [c - b for c, b in zip(counts, [0] + counts)][: len(counts) - m + 1]
+            for k in range(m, len(quot)):
+                quot[k] += quot[k - m]
+            counts = quot
+    return counts
+
+
+def _p_inversions(n: int, groups, observed_cmd: int) -> float:
+    """Exact permutation p-value when only one margin (with tie groups
+    `groups`) or neither is tied.
+
+    In the order of the untied margin, the tied one is a random multiset
+    permutation, and C - D = P - 2I over its I inversions, P being the pairs
+    tied in neither margin: the top index of the counts. The counts are
+    palindromic, so the sign of C - D does not matter.
+    """
+    counts = _inversion_counts(n, groups)
+    top = len(counts) - 1
+    hits = sum(c for i, c in enumerate(counts) if abs(top - 2 * i) >= abs(observed_cmd))
+    return hits / sum(counts)
+
+
+def _p_enumerate(pairs, yranks: np.ndarray, observed_cmd: int) -> float:
     # all n! assignments of y to x are equally likely under the null
     cmd = _signed_pair_sums(pairs, yranks[_all_permutations(len(yranks))])
     return float(np.mean(np.abs(cmd) >= abs(observed_cmd)))
@@ -229,8 +274,10 @@ def kendall_tau(points) -> CorrelationSummary:
 
     if n > 50:
         p = _p_normal(x, y, cmd)
+    elif not (xtie and ytie):
+        p = _p_inversions(n, _tie_group_sizes(x if xtie else y), cmd)
     else:
-        permutation_p = _p_exact if n <= 8 else _p_montecarlo
+        permutation_p = _p_enumerate if n <= 8 else _p_montecarlo
         p = permutation_p(_x_ordered_pairs(x), _dense_ranks(y), cmd)
     p = max(0.0, min(1.0, p))
 

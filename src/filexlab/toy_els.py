@@ -75,7 +75,8 @@ def toy_update(logits: np.ndarray, params: ToyElsParams, rng: np.random.Generato
     root-mean-square step length of learning_rate, the way adaptive
     optimizers normalize gradient magnitude; a zero gradient is a no-op.
     The logits must be S finite values; a new vector is returned and the
-    input is not modified.
+    input is not modified. A temperature so small that (theta + g) / T
+    overflows raises ValueError instead of skipping the update.
     """
     theta = np.asarray(logits, dtype=np.float64)
     if theta.shape != (params.lexicon_size,):
@@ -98,6 +99,11 @@ def toy_update(logits: np.ndarray, params: ToyElsParams, rng: np.random.Generato
     grad /= params.buffer_size
     grad -= softmax(theta)
     rms = math.sqrt(np.add.reduce(grad * grad) / params.lexicon_size)
+    if not math.isfinite(rms):
+        raise ValueError(
+            f"temperature {params.temperature!r} is too small: (theta + g) / temperature"
+            " overflows and the update is not finite"
+        )
     if rms > 0.0:
         return theta + params.learning_rate * grad / rms
     return theta.copy()

@@ -1,14 +1,17 @@
 """Independent oracles used across test modules.
 
 Everything here is deliberately naive: O(n^2) pair counting for tau,
-closed-form multinomial pmf, direct tail enumeration, the FiLex expected
-collision probability as a plain product. The point is that
+brute-force permutation enumeration and a memoised insertion count for
+its null, closed-form multinomial pmf, direct tail enumeration, the FiLex
+expected collision probability as a plain product. The point is that
 none of it shares code with the package implementations it checks.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -52,15 +55,66 @@ def pair_sum_oracle(x, y) -> int:
 
 def exact_tau_p_oracle(x, y) -> float:
     """Two-sided permutation p-value by full enumeration (tiny n only)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x = [float(v) for v in x]
+    y = [float(v) for v in y]
+    n = len(x)
+    # (i, j, sign of x[j] - x[i]) over the pairs with distinct x
+    xpairs = [(i, j, (x[j] > x[i]) - (x[j] < x[i]))
+              for i in range(n) for j in range(i + 1, n) if x[i] != x[j]]
     observed = abs(pair_sum_oracle(x, y))
     hits = total = 0
-    for perm in permutations(range(len(y))):
+    for perm in permutations(y):
         total += 1
-        if abs(pair_sum_oracle(x, y[list(perm)])) >= observed:
+        if abs(sum(s * ((perm[j] > perm[i]) - (perm[j] < perm[i])) for i, j, s in xpairs)) >= observed:
             hits += 1
     return hits / total
+
+
+@lru_cache(maxsize=None)
+def _partitions_in_box(parts: int, largest: int, total: int) -> int:
+    """Multisets of `parts` integers in [0, largest] that sum to `total`."""
+    if total < 0:
+        return 0
+    if parts == 0 or largest == 0:
+        return int(total == 0)
+    return (_partitions_in_box(parts, largest - 1, total)
+            + _partitions_in_box(parts - 1, largest, total - largest))
+
+
+def inversion_counts_oracle(groups) -> list[int]:
+    """counts[i]: arrangements of a multiset with the given group sizes that
+    have i strict inversions, by inserting one group at a time.
+
+    The g copies of a new value, larger than the L items already placed,
+    land in the gaps of those items; the new inversions are the numbers of
+    old items after each copy, a multiset of g integers in [0, L].
+    """
+    counts = {0: 1}
+    placed = 0
+    for g in groups:
+        new = defaultdict(int)
+        for inv, c in counts.items():
+            for extra in range(g * placed + 1):
+                new[inv + extra] += c * _partitions_in_box(g, placed, extra)
+        counts, placed = new, placed + g
+    return [counts[i] for i in range(max(counts) + 1)]
+
+
+def inversion_tau_p_oracle(x, y) -> float:
+    """Exact two-sided permutation p-value when at most one margin is tied:
+    C - D = P - 2I, I the inversions of the tied margin read in the order
+    of the untied one, P the pairs tied in neither margin."""
+    x, y = list(x), list(y)
+    if len(set(x)) < len(x):
+        x, y = y, x
+    assert len(set(x)) == len(x), "both margins are tied"
+    groups = list(Counter(y).values())
+    counts = inversion_counts_oracle(groups)
+    n = len(x)
+    untied = n * (n - 1) // 2 - sum(g * (g - 1) // 2 for g in groups)
+    observed = abs(pair_sum_oracle(x, y))
+    hits = sum(c for i, c in enumerate(counts) if abs(untied - 2 * i) >= observed)
+    return hits / sum(counts)
 
 
 def multinomial_pmf(counts, probs) -> float:

@@ -3,7 +3,9 @@
 The two default sweep suites run once per session, each on one pool of
 two workers, and are shared by the correlation criteria; criterion 9
 checks that the worker count does not change a sweep's output.
-Everything else is self-contained.
+Everything else is self-contained. One more test, not a criterion,
+predicts criterion 1's signs from the closed-form FiLex expected
+collision probability, without simulation.
 """
 
 import json
@@ -29,7 +31,7 @@ from filexlab.sweep import (
     log_sweep,
 )
 
-from helpers import kendall_oracle
+from helpers import expected_collision, kendall_oracle
 
 
 def _verdict(number: int, ok: bool, detail: str) -> None:
@@ -88,6 +90,24 @@ def test_criterion_1_filex_correlations(filex_suite):
         ok &= good
         bits.append(f"{label} tau={s.tau:+.3f} (target {expected:+.2f}, p={s.p_value:.1e})")
     _verdict(1, ok, f"suite {elapsed:.0f}s; " + "; ".join(bits))
+
+
+def test_collision_oracle_predicts_criterion_1_signs():
+    # no simulation: along each default FiLex grid the closed-form E[Q]
+    # (Q = sum p_i^2) moves strictly one way, and more concentration means
+    # less entropy, so its direction is the opposite of the entropy sign
+    # that criterion 1 measures
+    predicted = {}
+    for spec in default_filex_suite():
+        kind = int if spec.integer_valued else float
+        values = sorted({kind(v) for v in spec.grid()})
+        q = [expected_collision(FilexParams(**{**spec.defaults, spec.swept_param: v}))
+             for v in values]
+        steps = np.diff(q)
+        assert np.all(steps > 0) or np.all(steps < 0), spec.swept_param
+        predicted[spec.swept_param] = -np.sign(steps[0])
+    for _, param, expected in _TARGET_TAUS:
+        assert predicted[param] == np.sign(expected), param
 
 
 def test_criterion_2_sign_match_protocol(suite_dir, toy_suite, capsys):

@@ -16,7 +16,14 @@ from filexlab.stats import (
     shannon_entropy,
 )
 
-from helpers import entropy_oracle, exact_tau_p_oracle, kendall_oracle, pair_sum_oracle
+from helpers import (
+    entropy_oracle,
+    exact_tau_p_oracle,
+    inversion_counts_oracle,
+    inversion_tau_p_oracle,
+    kendall_oracle,
+    pair_sum_oracle,
+)
 
 
 # ---------------------------------------------------------------- entropy
@@ -125,27 +132,42 @@ def test_tau_exact_p_small_n():
 
 
 def test_tau_montecarlo_regime():
-    # monotone data, n between 9 and 50: no permutation can beat it
-    pts = [(i, i * i) for i in range(20)]
+    # monotone data tied in both margins, n between 9 and 50: no
+    # permutation beats it, and only 2 * 2^10 of the 20! do as well
+    pts = [(i // 2, i // 2) for i in range(20)]
     a = kendall_tau(pts)
     b = kendall_tau(pts)
     assert a.tau == 1.0
-    assert a.p_value < 1e-4
+    assert a.p_value == 1 / (stats._MC_PERMUTATIONS + 1)
     assert a.p_value == b.p_value  # fixed internal permutation stream
 
 
+# p sits well inside (0, 1) and x is not monotone, so a kernel that
+# miscounts C - D moves it; these values change only with a p-value
+# re-baseline. Each row: points, pinned p, and the 100k-permutation Monte
+# Carlo estimate the first three had before their exact null was used.
+_PINNED_P = [
+    ([((i * 23) % 41, (i * 11) % 43) for i in range(40)],
+     0.43750613358676754, 0.43978560214397855),  # exact, untied
+    ([((i * 13) % 41 // 5, (i * 5) % 43) for i in range(40)],
+     0.380604240735785, 0.3813061869381306),  # exact, tied x
+    ([((i * 19) % 43, (i * 11) % 41 // 4) for i in range(40)],
+     0.45589626056552834, 0.45535544644553555),  # exact, tied y
+    ([((i * 3) % 8 // 2, (i * 7) % 9 // 2) for i in range(8)],
+     0.3341269841269841, None),  # enumeration, both tied
+]
+
+
 def test_tau_p_values_pinned():
-    # p sits well inside (0, 1) and x is not monotone, so a kernel that
-    # miscounts C - D on some permuted rows moves it; these values change
-    # only with a p-value re-baseline
-    cases = [
-        ([((i * 23) % 41, (i * 11) % 43) for i in range(40)], 0.43978560214397855),  # MC, untied
-        ([((i * 13) % 41 // 5, (i * 5) % 43) for i in range(40)], 0.3813061869381306),  # MC, tied x
-        ([((i * 19) % 43, (i * 11) % 41 // 4) for i in range(40)], 0.45535544644553555),  # MC, tied y
-        ([((i * 3) % 8 // 2, (i * 7) % 9 // 2) for i in range(8)], 0.3341269841269841),  # exact, tied
-    ]
-    for pts, p in cases:
+    for pts, p, _ in _PINNED_P:
         assert kendall_tau(pts).p_value == p
+
+
+def test_tau_pinned_exact_p_matches_oracle_and_old_estimate():
+    for pts, p, estimate in _PINNED_P[:3]:
+        assert inversion_tau_p_oracle(*zip(*pts)) == p
+        # the Monte Carlo estimate had standard error sqrt(p(1-p)/100k)
+        assert abs(p - estimate) <= 4 * math.sqrt(p * (1 - p) / stats._MC_PERMUTATIONS)
 
 
 # small integer datasets: a narrow value range gives ties, a wide one mostly none
@@ -166,6 +188,33 @@ def test_tau_property_matches_oracle(pts):
     x, y = zip(*pts)
     assume(len(set(x)) > 1 and len(set(y)) > 1)
     assert kendall_tau(pts).tau == pytest.approx(kendall_oracle(pts), abs=1e-12)
+
+
+# at most one margin tied: x is a permutation of range(n), y small integers,
+# and each example also runs with the two margins swapped
+_one_margin_tied = st.integers(2, 8).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)),
+                        st.lists(st.integers(0, n), min_size=n, max_size=n))
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_one_margin_tied)
+def test_tau_one_margin_tied_p_matches_enumeration(xy):
+    x, y = xy
+    assume(len(set(y)) > 1)
+    for a, b in ((x, y), (y, x)):
+        assert kendall_tau(list(zip(a, b))).p_value == exact_tau_p_oracle(a, b)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+def test_inversion_counts_property(groups):
+    n = sum(groups)
+    counts = stats._inversion_counts(n, groups)
+    assert sum(counts) == math.factorial(n) // math.prod(math.factorial(g) for g in groups)
+    assert counts == counts[::-1]
+    assert counts == inversion_counts_oracle(groups)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

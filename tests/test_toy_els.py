@@ -179,6 +179,14 @@ def test_update_survives_zero_exponential_draw():
     assert nxt[0] > theta[0]
 
 
+def test_update_rejects_overflowing_temperature():
+    # (theta - log E) / T overflows to inf at T = 1e-308, and the softmax
+    # rows turn NaN; the update must fail, not be skipped as a zero step
+    params = make_params(lexicon_size=4, buffer_size=8, time_steps=8, temperature=1e-308)
+    with pytest.raises(ValueError, match="temperature"), np.errstate(over="ignore", invalid="ignore"):
+        toy_update(init_state(params), params, make_rng(0))
+
+
 def test_update_gumbel_max_exactness():
     # at B=1 and T -> 0 the relaxed message is the hard argmax of theta + g,
     # so logit 0 rises exactly when word 0 wins the race: probability

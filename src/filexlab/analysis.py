@@ -8,6 +8,7 @@ temperature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .filex import is_real
@@ -67,12 +68,12 @@ def analyze_records(records, strong_threshold: float = DEFAULT_STRONG_THRESHOLD)
 
     A pair matches when both correlations have the same nonzero sign; a
     strong match additionally needs |tau| >= strong_threshold on BOTH
-    sides. Each match count gets an exact one-sided binomial test against
-    fair coin flips. A repeated (target, param, seed) row is an error: it
-    would count one run twice.
+    sides, the threshold being a finite real >= 0. Each match count gets
+    an exact one-sided binomial test against fair coin flips. A repeated
+    (target, param, seed) row is an error: it would count one run twice.
     """
-    if not (is_real(strong_threshold) and strong_threshold >= 0):
-        raise ValueError(f"strong_threshold must be a real >= 0, got {strong_threshold!r}")
+    if not (is_real(strong_threshold) and 0 <= strong_threshold < math.inf):
+        raise ValueError(f"strong_threshold must be a finite real >= 0, got {strong_threshold!r}")
     seen = set()
     for r in records:
         key = (r.target, r.swept_param, r.seed)

@@ -178,7 +178,9 @@ def _cmd_analyze(args) -> int:
     report = analyze_records(records, strong_threshold=args.strong_threshold)
     sys.stdout.write(format_report(report))
     if args.out is not None:
-        Path(args.out).write_text(json.dumps(asdict(report), indent=2) + "\n", encoding="utf-8")
+        # strict JSON: a NaN or infinity in the report is an error, not a bare token
+        text = json.dumps(asdict(report), indent=2, allow_nan=False)
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
         print(f"report written to {args.out}")
     return 0
 

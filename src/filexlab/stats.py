@@ -25,6 +25,11 @@ SIGN_TOLERANCE = 1e-12
 _MC_PERMUTATIONS = 100_000
 _MC_SEED = 0x7A11E5  # fixed: identical inputs give identical p-values
 
+# The smoother works through its grid in blocks of rows, each temporary
+# holding at most this many doubles (256 KiB; one row always fits), so its
+# memory grows with the number of points, not with grid * points.
+_SMOOTH_BLOCK_ELEMENTS = 1 << 15
+
 
 class UndefinedCorrelationError(ValueError):
     """Raised when a rank correlation has no defined value (a margin is constant)."""
@@ -309,6 +314,9 @@ def gaussian_smooth(points, bandwidth: float | None = None, grid_size: int = 200
     Distances are measured in log-x, so the smoothing is uniform across a
     logarithmic sweep. bandwidth defaults to 1/20 of the log-x range.
     Every output value is a convex combination of the input y values.
+    Raises ValueError when a trend value is not finite: with a bandwidth
+    so small that every squared distance of a grid row overflows, all its
+    log-weights are -inf.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
@@ -319,8 +327,8 @@ def gaussian_smooth(points, bandwidth: float | None = None, grid_size: int = 200
         raise ValueError("all x values must be positive")
     if not (is_integer(grid_size) and grid_size >= 1):
         raise ValueError(f"grid_size must be a positive integer, got {grid_size!r}")
-    if bandwidth is not None and not (is_real(bandwidth) and bandwidth > 0):
-        raise ValueError(f"bandwidth must be a positive real, got {bandwidth!r}")
+    if bandwidth is not None and not (is_real(bandwidth) and 0 < bandwidth < math.inf):
+        raise ValueError(f"bandwidth must be a positive finite real, got {bandwidth!r}")
 
     x, y = pts[:, 0], pts[:, 1]
     lx = np.log(x)
@@ -330,10 +338,21 @@ def gaussian_smooth(points, bandwidth: float | None = None, grid_size: int = 200
 
     h = bandwidth if bandwidth is not None else (hi - lo) / 20.0
     lgrid = np.linspace(lo, hi, grid_size)
-    z = (lgrid[:, None] - lx[None, :]) / h
-    logw = -0.5 * z * z
-    w = np.exp(logw - logw.max(axis=1, keepdims=True))
-    ys = (w * y).sum(axis=1) / w.sum(axis=1)
+    ys = np.empty(grid_size)
+    rows = max(1, _SMOOTH_BLOCK_ELEMENTS // len(lx))
+    # an overflow leaves a non-finite trend value, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, grid_size, rows):
+            # each row's arithmetic is the same whatever the block holds
+            block = slice(start, start + rows)
+            z = (lgrid[block, None] - lx) / h
+            logw = -0.5 * z * z
+            w = np.exp(logw - logw.max(axis=1, keepdims=True))
+            ys[block] = (w * y).sum(axis=1) / w.sum(axis=1)
+    if not np.all(np.isfinite(ys)):
+        raise ValueError(
+            f"the trend is not finite at bandwidth {h!r}: the kernel weights or their sums overflow"
+        )
 
     xs = np.exp(lgrid)
     xs[0], xs[-1] = x[lx.argmin()], x[lx.argmax()]

@@ -9,7 +9,6 @@ guides at minimum and maximum entropy.
 from __future__ import annotations
 
 import math
-from html import escape
 
 from .filex import is_real
 from .stats import gaussian_smooth
@@ -125,10 +124,11 @@ def build_plot(records, metadata: dict | None = None, bandwidth: float | None = 
         f'<path d="{" ".join(cmds)}" fill="none" stroke="#c0392b" stroke-width="2"/>'
     )
 
-    # labels
+    # labels; & is escaped first, so the other two escapes are not re-escaped
+    label = f"{target}: {param}".replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts.append(
         f'<text x="{_ML + _PLOT_W / 2:.0f}" y="{_H - 10}" font-size="13" '
-        f'text-anchor="middle" fill="#333">{escape(f"{target}: {param}", quote=False)}</text>'
+        f'text-anchor="middle" fill="#333">{label}</text>'
     )
     parts.append(
         f'<text x="16" y="{_MT + _PLOT_H / 2:.0f}" font-size="13" text-anchor="middle" '

@@ -12,8 +12,9 @@ its defaults and its default sweep suite.
 
 from __future__ import annotations
 
+import concurrent.futures
 import logging
-from concurrent.futures import Future, ProcessPoolExecutor
+import math
 from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Callable, Generator
@@ -40,10 +41,13 @@ _INT_SNAP_RTOL = 1e-12
 
 def _check_bounds(low, high) -> None:
     # a bool is never a bound: True would sweep from 1
-    if not (all(is_real(b) and np.isfinite(b) for b in (low, high)) and low > 0):
+    if not all(is_real(b) and 0 < b < math.inf for b in (low, high)):
         raise ValueError(f"bounds must be finite positive reals, got ({low!r}, {high!r})")
     if low > high:
         raise ValueError(f"low ({low}) must not exceed high ({high})")
+    if not math.isfinite(high / low):
+        # the grid is low * (high / low) ** t
+        raise ValueError(f"high / low must be a finite float, got {high!r} / {low!r}")
 
 
 def _python_scalar(v):
@@ -55,7 +59,9 @@ def log_sweep(low: float, high: float, n: int) -> list[float]:
 
     Interior values within 1e-12 relative of an integer are snapped to
     it, so decade grids like (1, 10, 100, 1000) come out exact despite
-    floating-point pow.
+    floating-point pow. Interior values stay within [low, high]: pow may
+    round past high, and a snap (by up to 0.5 beyond 5e11) only lands on
+    an integer in range, so the grid is non-decreasing.
     """
     if not (is_integer(n) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -64,9 +70,9 @@ def log_sweep(low: float, high: float, n: int) -> list[float]:
         return [float(low)]
     out = [float(low)]
     for i in range(1, n - 1):
-        v = low * (high / low) ** (i / (n - 1))
+        v = min(low * (high / low) ** (i / (n - 1)), high)
         r = round(v)
-        if r > 0 and abs(v - r) <= _INT_SNAP_RTOL * v:
+        if low <= r <= high and abs(v - r) <= _INT_SNAP_RTOL * v:
             v = float(r)
         out.append(float(v))
     out.append(float(high))
@@ -154,7 +160,7 @@ class SweepOutcome:
 
 
 def _run_chunk(target: str, params_list: list, seeds: list[int]) -> list[np.ndarray]:
-    # module-level so ProcessPoolExecutor can pickle it
+    # module-level so the process pool can pickle it
     return TARGETS[target].run_many(params_list, seeds)
 
 
@@ -242,9 +248,11 @@ def _run(all_points: list[_Points], workers: int) -> Generator[SweepOutcome, Non
         return
     # the default start method (fork on Linux) is safe here: the executor
     # forks every worker at the first submit, before it starts its thread,
-    # and a forked worker does not re-import numpy and the package
-    pool = ProcessPoolExecutor(max_workers=n_procs)
-    queued: list[list[Future]] = []
+    # and a forked worker does not re-import numpy and the package.
+    # concurrent.futures loads ProcessPoolExecutor, and with it
+    # multiprocessing, on first use, so a serial sweep never pays for them.
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=n_procs)
+    queued: list[list[concurrent.futures.Future]] = []
     try:
         for points, k in zip(all_points, splits):
             queued.append([

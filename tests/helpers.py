@@ -3,7 +3,8 @@
 Everything here is deliberately naive: O(n^2) pair counting for tau,
 brute-force permutation enumeration and a memoised insertion count for
 its null, closed-form multinomial pmf, direct tail enumeration, the FiLex
-expected collision probability as a plain product. The point is that
+expected collision probability as a plain product, the trend smoother as
+one dense grid-by-points array. The point is that
 none of it shares code with the package implementations it checks.
 """
 
@@ -143,15 +144,42 @@ def entropy_oracle(p) -> float:
     return float(sum(-q * math.log2(q) for q in p if q > 0))
 
 
-def expected_collision(params) -> float:
-    """E[Q_N], Q = sum p_i^2 of the normalized FiLex weights after n_iters.
+def expected_collision(params, weights=None) -> float:
+    """E[Q_N], Q = sum p_i^2 of the normalized FiLex weights after n_iters
+    iterations from `weights` (default: the uniform start, 1/S each).
 
-    One iteration adds alpha/beta per draw to a total mass M_t = 1 + t alpha,
-    and E[Q_t | Q_{t-1}] = Q_{t-1} + (1 - Q_{t-1}) alpha^2 / (beta M_t^2), so
-    1 - E[Q_N] = (1 - 1/S) prod_{t=1..N} (1 - alpha^2 / (beta (1 + t alpha)^2)).
+    One iteration adds alpha/beta per draw to a total mass M_t = M_0 + t alpha,
+    and E[Q_t | Q_{t-1}] = Q_{t-1} + (1 - Q_{t-1}) alpha^2 / (beta M_t^2) from
+    any state, so 1 - E[Q_N] = (1 - Q_0) prod_{t=1..N} (1 - alpha^2 / (beta M_t^2)).
+    From the uniform start Q_0 = 1/S and M_0 = 1.
     """
     a, b = params.alpha, params.beta
-    rest = 1.0 - 1.0 / params.lexicon_size
+    if weights is None:
+        rest, mass = 1.0 - 1.0 / params.lexicon_size, 1.0
+    else:
+        mass = math.fsum(weights)
+        rest = 1.0 - math.fsum((w / mass) ** 2 for w in weights)
     for t in range(1, params.n_iters + 1):
-        rest *= 1.0 - a * a / (b * (1.0 + t * a) ** 2)
+        rest *= 1.0 - a * a / (b * (mass + t * a) ** 2)
     return 1.0 - rest
+
+
+def dense_smooth_oracle(points, bandwidth=None, grid_size=200):
+    """(xs, ys) of the log-x Gaussian trend, every grid row at once: the
+    grid_size x n formula that `stats.gaussian_smooth` computes in blocks."""
+    pts = np.asarray(points, dtype=np.float64)
+    x, y = pts[:, 0], pts[:, 1]
+    lx = np.log(x)
+    lo, hi = float(lx.min()), float(lx.max())
+    if lo == hi:
+        return np.array([x[0]]), np.array([float(y.mean())])
+    h = bandwidth if bandwidth is not None else (hi - lo) / 20.0
+    lgrid = np.linspace(lo, hi, grid_size)
+    z = (lgrid[:, None] - lx[None, :]) / h
+    logw = -0.5 * z * z
+    w = np.exp(logw - logw.max(axis=1, keepdims=True))
+    ys = (w * y).sum(axis=1) / w.sum(axis=1)
+    xs = np.exp(lgrid)
+    xs[0], xs[-1] = x[lx.argmin()], x[lx.argmax()]
+    keep = np.concatenate(([True], np.diff(xs) > 0))
+    return xs[keep], ys[keep]

@@ -1,6 +1,8 @@
 import json
+import math
 import multiprocessing
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -224,6 +226,43 @@ def test_plot_empty_file_exits_one(tmp_path):
     empty = tmp_path / "empty.csv"
     write_records(empty, [])
     assert main(["plot", str(empty)]) == 1
+
+
+@pytest.mark.parametrize("bandwidth", ["1e-300", "inf"])
+def test_plot_bandwidth_without_a_finite_trend_exits_one(tmp_path, capsys, bandwidth):
+    # at 1e-300 the squared log-distances overflow and the trend would be
+    # NaN; inf is not a finite bandwidth
+    rng = np.random.default_rng(5)
+    rows = [RunRecord(target=FILEX, swept_param="alpha", value=float(x), seed=i, entropy=float(y))
+            for i, (x, y) in enumerate(zip(np.logspace(-3, 3, 1000), rng.uniform(0, 6, 1000)))]
+    csv = tmp_path / "filex_alpha.csv"
+    write_records(csv, rows)
+    assert main(["plot", str(csv), "--bandwidth", bandwidth]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not csv.with_suffix(".svg").exists()
+
+
+def test_analyze_infinite_threshold_exits_one(tmp_path, capsys):
+    paths = synth_suite_files(tmp_path)
+    out = tmp_path / "r.json"
+    assert main(["analyze", *paths, "--strong-threshold", "inf", "--out", str(out)]) == 1
+    assert "strong_threshold" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_report_is_strict_json(tmp_path, capsys, monkeypatch):
+    # a non-finite float in the report is an error, never a bare Infinity
+    # or NaN token that strict JSON parsers reject
+    from filexlab import cli
+
+    analyze = cli.analyze_records
+    monkeypatch.setattr(cli, "analyze_records",
+                        lambda records, strong_threshold: replace(analyze(records), binomial_p=math.nan))
+    paths = synth_suite_files(tmp_path)
+    out = tmp_path / "r.json"
+    assert main(["analyze", *paths, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_plot_default_output_path(tmp_path):

@@ -166,6 +166,29 @@ def test_step_martingale_from_skewed_state():
     spread = params.alpha / (base.sum() + params.alpha)
     assert np.all(np.abs(mean - p0) < 4 * spread / np.sqrt(n))
 
+    # E[sum p^2] after N step()s from the same state follows the collision
+    # recurrence with Q_0 = sum p0^2 and M_t = sum(base) + t alpha: one
+    # z-score per N, |z| <= 4
+    zs = {}
+    for n_iters in (1, 4, 16):
+        params_n = FilexParams(alpha=2.0, beta=4, lexicon_size=5, n_iters=n_iters)
+        q = np.empty(2000)
+        for k in range(len(q)):
+            weights = base
+            for _ in range(n_iters):
+                weights = step(weights, params_n, rng)
+            q[k] = np.sum((weights / weights.sum()) ** 2)
+        expected = expected_collision(params_n, base)
+        zs[n_iters] = (q.mean() - expected) / (q.std(ddof=1) / np.sqrt(len(q)))
+    assert all(abs(z) <= 4 for z in zs.values()), zs
+
+
+def test_expected_collision_from_uniform_start_is_default():
+    # the start-state recurrence at w0 = 1/S is the uniform-start product
+    for params in [*_COLLISION_CASES, FilexParams(alpha=1e-3, beta=1, lexicon_size=1, n_iters=7)]:
+        uniform = init_state(params)
+        assert abs(expected_collision(params, uniform) - expected_collision(params)) <= 1e-12
+
 
 def test_run_vanishing_alpha_is_uniform():
     params = FilexParams(alpha=1e-12, beta=8, lexicon_size=64, n_iters=1000)

@@ -4,7 +4,8 @@ Every name a module imports is used in that module; an import kept on
 purpose carries `# noqa: F401` on its line, as `cli.execute_sweep` does
 for the benchmark tracer. No module imports a `_`-prefixed name from
 another filexlab module. Importing the CLI does not pull in the network
-stack, fractions, decimal or scipy.
+stack, fractions, decimal, scipy, html.entities or the process-pool
+machinery, and only a sweep with more than one worker loads the latter.
 """
 
 import ast
@@ -86,10 +87,32 @@ def test_cli_import_leaves_out_urllib():
     # xml.sax.saxutils would pull in urllib.request, and with it http.client,
     # ssl and email: tens of milliseconds in every CLI process. The exact
     # Kendall null counts in plain ints, so fractions, decimal and scipy
-    # stay out too.
-    heavy = ["urllib.request", "fractions", "decimal", "scipy"]
+    # stay out too. multiprocessing (with socket and selectors) loads only
+    # when a sweep builds its pool, and the plot label is escaped without
+    # html, whose import loads html.entities.
+    heavy = ["urllib.request", "fractions", "decimal", "scipy", "multiprocessing",
+             "concurrent.futures.process", "socket", "selectors", "html.entities"]
     code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import filexlab.cli; "
             f"print([m for m in {heavy!r} if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_serial_commands_never_load_multiprocessing(tmp_path):
+    # run, a one-worker sweep, analyze and plot each run in one process: the
+    # process-pool machinery is loaded only to build a pool
+    code = f"""
+import sys
+from pathlib import Path
+sys.path.insert(0, {str(PACKAGE.parent)!r})
+from filexlab.cli import main
+out = Path({str(tmp_path)!r})
+assert main(["run", "--n-iters", "5"]) == 0
+assert main(["sweep", "--steps", "3", "--workers", "1", "--out", str(out)]) == 0
+assert main(["analyze", *map(str, sorted(out.glob("*.csv")))]) == 0
+assert main(["plot", str(out / "filex_alpha.csv")]) == 0
+print([m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules])
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"

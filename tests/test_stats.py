@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from filexlab.stats import (
 )
 
 from helpers import (
+    dense_smooth_oracle,
     entropy_oracle,
     exact_tau_p_oracle,
     inversion_counts_oracle,
@@ -385,8 +387,58 @@ def test_smooth_validation():
         gaussian_smooth([(1.0, 1.0), (2.0, 1.0)], bandwidth=0.0)
     # a bool is never a bandwidth or a grid size, and a grid size is whole
     for kw in ({"grid_size": 0}, {"grid_size": True}, {"grid_size": 2.5}, {"grid_size": None},
-               {"bandwidth": True}, {"bandwidth": "1"}, {"bandwidth": float("nan")}):
+               {"bandwidth": True}, {"bandwidth": "1"}, {"bandwidth": float("nan")},
+               {"bandwidth": float("inf")}, {"bandwidth": -float("inf")}):
         with pytest.raises(ValueError):
             gaussian_smooth([(1.0, 1.0), (2.0, 1.0)], **kw)
     curve = gaussian_smooth([(1.0, 1.0), (2.0, 1.0)], bandwidth=np.float32(0.5), grid_size=np.int64(5))
     assert len(curve.xs) == 5
+
+
+def _smooth_points(rng, n):
+    return np.column_stack([np.exp(rng.uniform(0.0, 8.0, n)), rng.normal(size=n)])
+
+
+def test_smooth_matches_dense_oracle():
+    # the trend is computed in blocks of grid rows; its bits are those of
+    # the dense grid x points formula: n = 1, either side of the block size,
+    # grids of one block, of several and of a short last block, at the
+    # default and at a given bandwidth
+    block = stats._SMOOTH_BLOCK_ELEMENTS
+    rng = np.random.default_rng(41)
+    cases = [(1, (1, 200)), (2, (1, 200)), (163, (200, 201)), (164, (198, 199, 200, 397)),
+             (5000, (1, 6, 7, 13, 200)), (block - 1, (1, 2, 3)), (block, (1, 2, 3)),
+             (block + 1, (1, 2, 3))]
+    for n, grid_sizes in cases:
+        pts = _smooth_points(rng, n)
+        for grid_size in grid_sizes:
+            for bandwidth in (None, 0.3):
+                curve = gaussian_smooth(pts, bandwidth=bandwidth, grid_size=grid_size)
+                xs, ys = dense_smooth_oracle(pts, bandwidth=bandwidth, grid_size=grid_size)
+                assert np.array_equal(curve.xs, xs), (n, grid_size, bandwidth)
+                assert np.array_equal(curve.ys, ys), (n, grid_size, bandwidth)
+    # tied x values: the curve is the oracle's there too
+    pts = np.column_stack([np.round(np.exp(rng.uniform(0.0, 3.0, 5000))), rng.normal(size=5000)])
+    xs, ys = dense_smooth_oracle(pts)
+    curve = gaussian_smooth(pts)
+    assert np.array_equal(curve.xs, xs) and np.array_equal(curve.ys, ys)
+
+
+def test_smooth_memory_is_linear_in_points():
+    # a dense 200 x 20,000 float64 temporary alone would be 32 MB
+    pts = _smooth_points(np.random.default_rng(42), 20_000)
+    tracemalloc.start()
+    try:
+        gaussian_smooth(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
+def test_smooth_rejects_overflowing_bandwidth():
+    # z^2 overflows for every point of most grid rows: their log-weights
+    # are all -inf, and -inf - (-inf) is NaN
+    pts = _smooth_points(np.random.default_rng(43), 1000)
+    with pytest.raises(ValueError, match="not finite"):
+        gaussian_smooth(pts, bandwidth=1e-300)

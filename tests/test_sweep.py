@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filexlab.filex import FilexParams, run
 from filexlab.records import metadata_path, write_records
@@ -83,6 +85,36 @@ def test_log_sweep_monotone_on_random_ranges():
         assert len(grid) == n
         assert all(b >= a for a, b in zip(grid, grid[1:]))
         assert grid[0] == lo and grid[-1] == hi
+
+
+_POSITIVE_FLOATS = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(_POSITIVE_FLOATS, _POSITIVE_FLOATS, st.integers(1, 300))
+def test_log_sweep_property_non_decreasing_with_exact_endpoints(a, b, n):
+    # any finite positive bounds: subnormal, past 5e11 (where the integer
+    # snap can move a value by 0.5), or a ratio past the largest double,
+    # which is a ValueError
+    low, high = min(a, b), max(a, b)
+    if not math.isfinite(high / low):
+        with pytest.raises(ValueError):
+            log_sweep(low, high, n)
+        return
+    grid = log_sweep(low, high, n)
+    assert len(grid) == n
+    assert grid[0] == low and grid[-1] == (high if n > 1 else low)
+    assert all(y >= x for x, y in zip(grid, grid[1:]))
+
+
+def test_log_sweep_stays_within_bounds_past_5e11():
+    # 5e11 + 0.5 is within 1e-12 of the integer 5e11 below it, which is
+    # out of range; and low * (high / low) ** t can round past high, here
+    # past the largest double
+    assert log_sweep(500000000000.5, 500000000000.5, 3) == [500000000000.5] * 3
+    grid = log_sweep(1.7976931348623155e308, 1.7976931348623157e308, 4)
+    assert grid[0] == 1.7976931348623155e308 and grid[-1] == 1.7976931348623157e308
+    assert all(b >= a for a, b in zip(grid, grid[1:]))
 
 
 def test_log_sweep_geometric_spacing():
@@ -343,6 +375,32 @@ def test_mix64_no_collisions():
     # two nearby bases must not collide across indices either
     seen_b = {mix64(1, i) for i in range(50_000)}
     assert not (seen & seen_b)
+
+
+_GOLDEN = 0x9E3779B97F4A7C15
+_MASK64 = 2**64 - 1
+
+
+def _unmix64(z: int, base_seed: int) -> int:
+    # undo the SplitMix64 finalizer step by step, then the state increment
+    def unshift(y, k):
+        x = y
+        for _ in range(64 // k + 1):
+            x = y ^ (x >> k)
+        return x
+
+    z = unshift(z, 31)
+    z = unshift((z * pow(0x94D049BB133111EB, -1, 2**64)) & _MASK64, 27)
+    z = unshift((z * pow(0xBF58476D1CE4E5B9, -1, 2**64)) & _MASK64, 30)
+    return (((z - base_seed) * pow(_GOLDEN, -1, 2**64)) & _MASK64) - 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 2))
+def test_mix64_property_injective_in_index(base_seed, index):
+    # mix64(base, .) has a left inverse on [0, 2^64 - 1), so no two indices
+    # of one base share a seed
+    assert _unmix64(mix64(base_seed, index), base_seed) == index
 
 
 def test_mix64_rejects_negative_index():

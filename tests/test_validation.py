@@ -1,0 +1,57 @@
+"""Every positive real parameter is checked the same way, wherever it
+enters: a bool, NaN, +-inf or a value <= 0 raises ValueError. The strong
+threshold of `analyze` is the one real that may also be 0."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from filexlab.analysis import PAIRINGS, analyze_records
+from filexlab.filex import FilexParams, param_kinds
+from filexlab.stats import gaussian_smooth
+from filexlab.sweep import FILEX, TARGETS, TOY_ELS, RunRecord, SweepSpec
+from filexlab.toy_els import ToyElsParams
+
+_NOT_POSITIVE = st.one_of(
+    st.sampled_from([True, False, math.nan, math.inf, -math.inf,
+                     np.float64(math.nan), np.float32(math.inf), np.float32(-math.inf)]),
+    st.floats(max_value=0.0),
+    st.floats(max_value=0.0).map(np.float64),
+    st.integers(max_value=0),
+    st.integers(-(2**63), 0).map(np.int64),
+)
+
+# four untied points per compared sweep, so any finite threshold >= 0 works
+_SWEEPS = {(FILEX, f_param) for _, f_param, _ in PAIRINGS} | {(TOY_ELS, t) for *_, t in PAIRINGS}
+_RECORDS = [
+    RunRecord(target=target, swept_param=param, value=float(i + 1), seed=i, entropy=float(i))
+    for target, param in sorted(_SWEEPS)
+    for i in range(4)
+]
+
+
+def _is_zero(v) -> bool:
+    return not isinstance(v, bool) and v == 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_NOT_POSITIVE)
+def test_positive_parameters_reject_the_same_values(bad):
+    for cls, target in ((FilexParams, FILEX), (ToyElsParams, TOY_ELS)):
+        for name in param_kinds(cls):
+            with pytest.raises(ValueError):
+                cls(**{**TARGETS[target].defaults, name: bad})
+    for bound in ({"low": bad, "high": 10.0}, {"low": 1.0, "high": bad}):
+        with pytest.raises(ValueError):
+            SweepSpec(FILEX, "alpha", steps=3, integer_valued=False, defaults={}, base_seed=0,
+                      **bound)
+    with pytest.raises(ValueError):
+        gaussian_smooth([(1.0, 0.0), (10.0, 1.0)], bandwidth=bad)
+    if _is_zero(bad):
+        assert analyze_records(_RECORDS, strong_threshold=bad).strong_match_count == 5
+    else:
+        with pytest.raises(ValueError, match="strong_threshold"):
+            analyze_records(_RECORDS, strong_threshold=bad)

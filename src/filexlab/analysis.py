@@ -8,12 +8,11 @@ temperature.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .filex import is_real
 from .stats import CorrelationSummary, binomial_sign_test, kendall_tau
 from .sweep import FILEX, TOY_ELS
+from .validation import is_real
 
 # (label, urn-process param, toy-agent param)
 PAIRINGS = (
@@ -72,7 +71,7 @@ def analyze_records(records, strong_threshold: float = DEFAULT_STRONG_THRESHOLD)
     an exact one-sided binomial test against fair coin flips. A repeated
     (target, param, seed) row is an error: it would count one run twice.
     """
-    if not (is_real(strong_threshold) and 0 <= strong_threshold < math.inf):
+    if not (is_real(strong_threshold) and strong_threshold >= 0):
         raise ValueError(f"strong_threshold must be a finite real >= 0, got {strong_threshold!r}")
     seen = set()
     for r in records:

@@ -21,9 +21,10 @@ from .stats import shannon_entropy
 from .svgplot import build_plot
 from .sweep import FILEX, TARGETS, SweepSpec, execute_sweeps
 from .sweep import execute_sweep  # noqa: F401  (unused; the benchmark tracer wraps this name)
+from .validation import param_kinds
 
 # every target's parameters, in table then field order, with their int/float kinds
-_PARAM_KINDS = {name: kind for t in TARGETS.values() for name, kind in t.param_kinds().items()}
+_PARAM_KINDS = {k: v for t in TARGETS.values() for k, v in param_kinds(t.params_cls).items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,7 +120,7 @@ def _cmd_run(args) -> int:
     target = TARGETS[args.target]
     given = {name: getattr(args, name) for name in _PARAM_KINDS if getattr(args, name) is not None}
     for name in given:
-        if name not in target.param_kinds():
+        if name not in param_kinds(target.params_cls):
             raise ValueError(f"{name} is not a {args.target} parameter")
     dist = target.run(target.params_cls(**{**target.defaults, **given}), args.seed)
     print(" ".join(f"{v:.17g}" for v in dist))

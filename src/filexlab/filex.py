@@ -16,52 +16,13 @@ so any drift toward low entropy is purely variance-driven.
 
 from __future__ import annotations
 
-import functools
-import math
-import numbers
-from dataclasses import dataclass, fields
-from typing import get_type_hints
+from dataclasses import dataclass
 
 import numpy as np
 
 from .sampling import categorical_counts
 from .seeding import make_rng
-
-
-@functools.cache
-def param_kinds(params_cls: type) -> dict[str, type]:
-    """Field name -> int or float for a params dataclass, in field order."""
-    hints = get_type_hints(params_cls)
-    return {f.name: hints[f.name] for f in fields(params_cls)}
-
-
-def is_integer(v) -> bool:
-    """True for an int or numpy integer; a bool is never a number."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def is_real(v) -> bool:
-    """True for any real number, numpy scalars included; a bool is never a number."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-def check_positive(params) -> None:
-    """Raise ValueError unless every field of a params dataclass is positive.
-
-    A field annotated int takes an int or numpy integer >= 1; a field
-    annotated float takes any finite real > 0, numpy scalars included. A
-    bool is never a number.
-    """
-    for name, kind in param_kinds(type(params)).items():
-        v = getattr(params, name)
-        if kind is int:
-            what = "a positive integer"
-            ok = is_integer(v) and v >= 1
-        else:
-            what = "a positive finite real"
-            ok = is_real(v) and 0 < v < math.inf
-        if not ok:
-            raise ValueError(f"{name} must be {what}, got {v!r}")
+from .validation import check_positive
 
 
 @dataclass(frozen=True)

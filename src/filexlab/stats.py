@@ -18,7 +18,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .filex import is_integer, is_real
+from .validation import check_positive_int, check_positive_real, is_integer
 
 SIGN_TOLERANCE = 1e-12
 
@@ -72,6 +72,15 @@ def shannon_entropy(p) -> float:
         raise ValueError(f"p must sum to 1 within 1e-9, got sum {total!r}")
     nz = p[p > 0]
     return max(0.0, float(-(nz * np.log2(nz)).sum()))
+
+
+def _finite_points(points, n_min: int) -> np.ndarray:
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < n_min:
+        raise ValueError(f"points must be an (n, 2) collection with n >= {n_min}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
+    return pts
 
 
 def _tie_group_sizes(values: np.ndarray) -> np.ndarray:
@@ -260,12 +269,7 @@ def kendall_tau(points) -> CorrelationSummary:
 
     Raises UndefinedCorrelationError when all x or all y are tied.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-        raise ValueError("points must be an (n, 2) collection with n >= 2")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite")
-    x, y = pts[:, 0], pts[:, 1]
+    x, y = _finite_points(points, 2).T
     n = len(x)
 
     cmd, xtie, ytie = _concordant_minus_discordant(x, y)
@@ -300,8 +304,7 @@ def binomial_sign_test(successes: int, trials: int) -> float:
 
     Computed in integer arithmetic, then converted to a float.
     """
-    if not (is_integer(trials) and trials >= 1):
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    check_positive_int("trials", trials)
     if not (is_integer(successes) and 0 <= successes <= trials):
         raise ValueError(f"successes must be in [0, {trials}], got {successes!r}")
     tail = sum(math.comb(trials, k) for k in range(successes, trials + 1))
@@ -318,19 +321,13 @@ def gaussian_smooth(points, bandwidth: float | None = None, grid_size: int = 200
     so small that every squared distance of a grid row overflows, all its
     log-weights are -inf.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
-        raise ValueError("points must be an (n, 2) collection with n >= 1")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite")
-    if np.any(pts[:, 0] <= 0):
+    x, y = _finite_points(points, 1).T
+    if np.any(x <= 0):
         raise ValueError("all x values must be positive")
-    if not (is_integer(grid_size) and grid_size >= 1):
-        raise ValueError(f"grid_size must be a positive integer, got {grid_size!r}")
-    if bandwidth is not None and not (is_real(bandwidth) and 0 < bandwidth < math.inf):
-        raise ValueError(f"bandwidth must be a positive finite real, got {bandwidth!r}")
+    check_positive_int("grid_size", grid_size)
+    if bandwidth is not None:
+        check_positive_real("bandwidth", bandwidth)
 
-    x, y = pts[:, 0], pts[:, 1]
     lx = np.log(x)
     lo, hi = float(lx.min()), float(lx.max())
     if lo == hi:

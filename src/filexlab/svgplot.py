@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 
-from .filex import is_real
 from .stats import gaussian_smooth
+from .validation import is_real
 
 _W, _H = 640, 440
 _ML, _MR, _MT, _MB = 64, 20, 20, 48
@@ -37,7 +37,7 @@ def _y_axis_bits(metadata) -> float:
         name, s = "defaults.lexicon_size", defaults.get("lexicon_size")
         if s is None:
             return 8.0
-    if not (is_real(s) and math.isfinite(s)):
+    if not is_real(s):
         raise ValueError(f"metadata {name} must be a finite number, got {s!r}")
     s = math.floor(s)
     return max(1.0, math.log2(s)) if s >= 1 else 8.0

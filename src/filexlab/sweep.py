@@ -21,12 +21,13 @@ from typing import Callable, Generator
 
 import numpy as np
 
-from .filex import FilexParams, is_integer, is_real, param_kinds
+from .filex import FilexParams
 from .filex import run as filex_run
 from .filex import run_many as filex_run_many
 from .seeding import mix64
 from .stats import shannon_entropy
 from .toy_els import ToyElsParams, toy_run
+from .validation import check_positive_int, is_integer, is_real, param_kinds
 
 _LOG = logging.getLogger(__name__)
 
@@ -40,8 +41,7 @@ _INT_SNAP_RTOL = 1e-12
 
 
 def _check_bounds(low, high) -> None:
-    # a bool is never a bound: True would sweep from 1
-    if not all(is_real(b) and 0 < b < math.inf for b in (low, high)):
+    if not all(is_real(b) and b > 0 for b in (low, high)):
         raise ValueError(f"bounds must be finite positive reals, got ({low!r}, {high!r})")
     if low > high:
         raise ValueError(f"low ({low}) must not exceed high ({high})")
@@ -63,8 +63,7 @@ def log_sweep(low: float, high: float, n: int) -> list[float]:
     round past high, and a snap (by up to 0.5 beyond 5e11) only lands on
     an integer in range, so the grid is non-decreasing.
     """
-    if not (is_integer(n) and n >= 1):
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    check_positive_int("n", n)
     _check_bounds(low, high)
     if n == 1:
         return [float(low)]
@@ -95,7 +94,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
-        names = tuple(TARGETS[self.target].param_kinds())
+        kinds = param_kinds(TARGETS[self.target].params_cls)
+        names = tuple(kinds)
         if self.swept_param not in names:
             raise ValueError(
                 f"{self.swept_param!r} is not a {self.target} parameter "
@@ -104,12 +104,11 @@ class SweepSpec:
         for key in self.defaults:
             if key not in names:
                 raise ValueError(f"unknown default {key!r} for target {self.target}")
-        if not (is_integer(self.steps) and self.steps >= 1):
-            raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
+        check_positive_int("steps", self.steps)
         _check_bounds(self.low, self.high)
         if not isinstance(self.integer_valued, bool):
             raise ValueError(f"integer_valued must be a bool, got {self.integer_valued!r}")
-        if TARGETS[self.target].param_kinds()[self.swept_param] is int and not self.integer_valued:
+        if kinds[self.swept_param] is int and not self.integer_valued:
             # an unfloored grid value is a float, which every point of an int field rejects
             raise ValueError(
                 f"{self.swept_param} is an integer parameter: floor its grid"
@@ -228,9 +227,8 @@ def execute_sweeps(
     returned generator early cancels the chunks still queued and stops the
     running ones; no worker outlives it.
     """
-    for name, count in (("workers", workers), ("repeats", repeats)):
-        if not (is_integer(count) and count >= 1):
-            raise ValueError(f"{name} must be a positive integer, got {count!r}")
+    check_positive_int("workers", workers)
+    check_positive_int("repeats", repeats)
     all_points = [_points(spec, repeats) for spec in specs]
     return _run(all_points, workers)
 
@@ -333,10 +331,6 @@ class Target:
     run_many: Callable
     defaults: dict
     suite: Callable
-
-    def param_kinds(self) -> dict[str, type]:
-        """Parameter name -> int or float, in field order."""
-        return param_kinds(self.params_cls)
 
 
 # The runners look filex_run, filex_run_many and toy_run up in this module

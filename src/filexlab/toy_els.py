@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filex import check_positive
 from .sampling import categorical_counts  # noqa: F401  (unused; the benchmark tracer wraps this name)
 from .seeding import make_rng
+from .validation import check_positive
 
 # smallest positive normal double: an Exp(1) draw of exactly 0.0 is raised
 # to it, so -log E stays finite (about 708) instead of +inf

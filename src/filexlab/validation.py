@@ -1,0 +1,48 @@
+"""What a valid number is, stated once; every check raises ValueError.
+
+A bool is never a number (True == 1 would pass as a count or a bound),
+and a real is finite: NaN, +-inf and an int beyond the double range are not."""
+
+import functools
+import math
+import numbers
+from dataclasses import fields
+from typing import get_type_hints
+
+import numpy as np
+
+
+@functools.cache
+def param_kinds(params_cls: type) -> dict[str, type]:
+    """Field name -> int or float for a params dataclass, in field order."""
+    hints = get_type_hints(params_cls)
+    return {f.name: hints[f.name] for f in fields(params_cls)}
+
+
+def is_integer(v) -> bool:
+    """True for an int or numpy integer."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def is_real(v) -> bool:
+    """True for a finite real number, numpy scalars included."""
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int beyond the double range
+        return False
+
+
+def check_positive_int(name: str, v) -> None:
+    if not (is_integer(v) and v >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {v!r}")
+
+
+def check_positive_real(name: str, v) -> None:
+    if not (is_real(v) and v > 0):
+        raise ValueError(f"{name} must be a positive finite real, got {v!r}")
+
+
+def check_positive(params) -> None:
+    """Check every field of a params dataclass by the rule for its kind."""
+    for name, kind in param_kinds(type(params)).items():
+        (check_positive_int if kind is int else check_positive_real)(name, getattr(params, name))

@@ -3,8 +3,9 @@
 Everything here is deliberately naive: O(n^2) pair counting for tau,
 brute-force permutation enumeration and a memoised insertion count for
 its null, closed-form multinomial pmf, direct tail enumeration, the FiLex
-expected collision probability as a plain product, the trend smoother as
-one dense grid-by-points array. The point is that
+expected collision probability as a plain product, the beta = 1 Polya-urn
+law of its counts from log-gamma, the trend smoother as one dense
+grid-by-points array. The point is that
 none of it shares code with the package implementations it checks.
 """
 
@@ -162,6 +163,41 @@ def expected_collision(params, weights=None) -> float:
     for t in range(1, params.n_iters + 1):
         rest *= 1.0 - a * a / (b * (mass + t * a) ** 2)
     return 1.0 - rest
+
+
+def polya_count_pmf(params) -> list[float]:
+    """P(n_1 = k), k = 0..N, for the draws n_1 of one word in a FiLex run at
+    beta = 1.
+
+    At beta = 1 each iteration draws one word from the current weights and
+    adds alpha to it: a Polya urn holding a = 1/(S alpha) balls of each of S
+    colours (Eggenberger & Polya 1923), so n_1 ~ BetaBinomial(N, a, (S-1) a).
+    """
+    assert params.beta == 1
+    n, s = params.n_iters, params.lexicon_size
+    a = 1.0 / (s * params.alpha)
+    b = (s - 1) * a
+
+    def log_beta(x, y):
+        return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
+
+    return [
+        math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                 + log_beta(k + a, n - k + b) - log_beta(a, b))
+        for k in range(n + 1)
+    ]
+
+
+def polya_expected_entropy(params) -> float:
+    """E[H] in bits of the normalized FiLex weights at beta = 1:
+    S * sum_k P(n_1 = k) h((1/S + alpha k) / (1 + N alpha)), h(p) = -p log2 p,
+    each word's final weight being 1/S plus alpha per draw."""
+    s, alpha, n = params.lexicon_size, params.alpha, params.n_iters
+    total = 0.0
+    for k, pk in enumerate(polya_count_pmf(params)):
+        w = (1.0 / s + alpha * k) / (1.0 + n * alpha)
+        total += pk * -w * math.log2(w)
+    return s * total
 
 
 def dense_smooth_oracle(points, bandwidth=None, grid_size=200):

@@ -1,8 +1,12 @@
 import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +220,22 @@ def test_malformed_sidecar_exits_one(tmp_path, capsys, command, sidecar):
     args = ["plot", lexicon_csv] if command == "plot" else ["analyze", *paths]
     assert main(args) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_plot_lexicon_size_beyond_double_range_exits_one(tmp_path):
+    # a 401-digit lexicon_size is not a finite number: one error line, not
+    # an OverflowError traceback
+    paths = synth_suite_files(tmp_path)
+    metadata_path(paths[0]).write_text(json.dumps({"defaults": {"lexicon_size": 10**400}}),
+                                       encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "filexlab.cli", "plot", paths[0]],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: metadata defaults.lexicon_size")
 
 
 def test_analyze_missing_file_exits_two(tmp_path):

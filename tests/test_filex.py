@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chi2
+from scipy.stats import betabinom, chi2
 
 from filexlab.filex import FilexParams, init_state, run, run_batch, run_many, step
 from filexlab.seeding import make_rng
 from filexlab.stats import shannon_entropy
 
-from helpers import all_count_vectors, expected_collision, multinomial_pmf
+from helpers import (
+    all_count_vectors,
+    expected_collision,
+    multinomial_pmf,
+    polya_count_pmf,
+    polya_expected_entropy,
+)
 
 DEFAULTS = dict(alpha=1.0, beta=8, lexicon_size=64, n_iters=1000)
 
@@ -374,3 +380,84 @@ def test_mean_collision_matches_closed_form():
             dists.append(weights / weights.sum())
         zs["step", i] = _collision_z(params, dists)
     assert all(abs(z) <= 4 for z in zs.values()), zs
+
+
+# beta = 1 makes FiLex a Polya urn, whose whole law is known; these
+# (alpha, S, N) start it with a = 1/(S alpha) = 1/64, 12.5 and 1/160 balls
+# of each colour
+_POLYA_CASES = [
+    FilexParams(alpha=1.0, beta=1, lexicon_size=64, n_iters=1000),
+    FilexParams(alpha=0.01, beta=1, lexicon_size=8, n_iters=50),
+    FilexParams(alpha=10.0, beta=1, lexicon_size=16, n_iters=200),
+]
+
+
+def test_polya_count_pmf_is_beta_binomial():
+    # the log-gamma pmf of the oracle against scipy's beta-binomial
+    for params in _POLYA_CASES + [FilexParams(alpha=0.5, beta=1, lexicon_size=8, n_iters=40)]:
+        n, s = params.n_iters, params.lexicon_size
+        a = 1 / (s * params.alpha)
+        want = betabinom.pmf(np.arange(n + 1), n, a, (s - 1) * a)
+        assert np.allclose(polya_count_pmf(params), want, rtol=1e-9, atol=1e-300), params
+
+
+def _entropy_z(params, dists) -> float:
+    h = np.array([shannon_entropy(d) for d in dists])
+    return (h.mean() - polya_expected_entropy(params)) / (h.std(ddof=1) / np.sqrt(len(h)))
+
+
+def test_mean_entropy_matches_polya_urn():
+    # every path to a FiLex outcome at beta = 1 (run_batch, run_many with
+    # beta = 2 and 8 rows, one row group holding beta = 1 and 2 rows, a
+    # step loop) must give the exact E[H] of the urn: 5 z-scores, |z| <= 4
+    zs = {}
+    for i, params in enumerate(_POLYA_CASES):
+        zs["run_batch", i] = _entropy_z(params, run_batch(params, list(range(4000))))
+    polya = _POLYA_CASES[1]
+    wider = [FilexParams(alpha=0.01, beta=b, lexicon_size=8, n_iters=50) for b in (2, 8)]
+    rows = [p for _ in range(2000) for p in (polya, *wider)]
+    dists = run_many(rows, list(range(10**6, 10**6 + len(rows))))
+    zs["run_many"] = _entropy_z(polya, dists[:: 1 + len(wider)])
+    rng = make_rng(11)
+    dists = []
+    for _ in range(2000):
+        weights = init_state(polya)
+        for _ in range(polya.n_iters):
+            weights = step(weights, polya, rng)
+        dists.append(weights / weights.sum())
+    zs["step"] = _entropy_z(polya, dists)
+    assert all(abs(z) <= 4 for z in zs.values()), zs
+
+
+def _pool(observed, expected, floor=5.0):
+    # adjacent bins merged from the left until each expects >= floor; a
+    # short last bin joins the one before it
+    obs, exp = [0], [0.0]
+    for o, e in zip(observed, expected):
+        if exp[-1] >= floor:
+            obs.append(0)
+            exp.append(0.0)
+        obs[-1] += o
+        exp[-1] += e
+    if exp[-1] < floor and len(exp) > 1:
+        obs[-2] += obs.pop()
+        exp[-2] += exp.pop()
+    return np.array(obs), np.array(exp)
+
+
+def test_polya_counts_follow_beta_binomial():
+    # each word's draws are recovered exactly from its final weight,
+    # n = (w (1 + N alpha) - 1/S) / alpha, and n_1 over 3,000 runs must fit
+    # the beta-binomial pmf (chi-square, p above the |z| = 4 rate)
+    params = FilexParams(alpha=0.5, beta=1, lexicon_size=8, n_iters=40)
+    runs = 3000
+    dists = np.array(run_many([params] * runs, list(range(runs))))
+    n = params.n_iters
+    counts = (dists * (1 + n * params.alpha) - 1 / params.lexicon_size) / params.alpha
+    whole = np.rint(counts)
+    assert np.abs(counts - whole).max() <= 1e-9
+    assert np.all(whole.sum(axis=1) == n)
+    observed = np.bincount(whole[:, 0].astype(int), minlength=n + 1)
+    obs, exp = _pool(observed, runs * np.array(polya_count_pmf(params)))
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    assert chi2.sf(stat, len(exp) - 1) >= 6.3e-5, (stat, len(exp) - 1)

@@ -3,9 +3,11 @@
 Every name a module imports is used in that module; an import kept on
 purpose carries `# noqa: F401` on its line, as `cli.execute_sweep` does
 for the benchmark tracer. No module imports a `_`-prefixed name from
-another filexlab module. Importing the CLI does not pull in the network
-stack, fractions, decimal, scipy, html.entities or the process-pool
-machinery, and only a sweep with more than one worker loads the latter.
+another filexlab module. Only `sweep` imports the FiLex model, and
+`validation` imports no filexlab module. Importing the CLI does not pull
+in the network stack, fractions, decimal, scipy, html.entities or the
+process-pool machinery, and only a sweep with more than one worker loads
+the latter.
 """
 
 import ast
@@ -81,6 +83,44 @@ def test_private_checker_finds_private_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_no_private_names(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The filexlab modules the source imports, by bare name."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {a.name.split(".")[1] for a in node.names
+                    if a.name.startswith("filexlab.")}
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level > 0 and node.module:
+                out.add(parts[0])
+            elif node.level > 0 or parts == ["filexlab"]:
+                out |= {a.name for a in node.names}
+            elif parts[0] == "filexlab":
+                out.add(parts[1])
+    return out
+
+
+def test_package_checker_finds_every_import_form():
+    source = (
+        "import numpy\n"
+        "import filexlab.stats\n"
+        "from .filex import run\n"
+        "from . import sweep\n"
+        "from filexlab import records\n"
+        "from filexlab.svgplot import build_plot\n"
+        "from os import path\n"
+    )
+    assert package_imports(source) == {"stats", "filex", "sweep", "records", "svgplot"}
+
+
+def test_only_sweep_imports_the_filex_model():
+    # validity rules live in `validation`: no module reaches into the model to check a number
+    imports = {p.name: package_imports(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {name for name, modules in imports.items() if "filex" in modules} == {"sweep.py"}
+    assert imports["validation.py"] == set()
 
 
 def test_cli_import_leaves_out_urllib():

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filexlab.analysis import PAIRINGS, analyze_records
-from filexlab.filex import FilexParams, param_kinds
+from filexlab.filex import FilexParams
 from filexlab.stats import gaussian_smooth
-from filexlab.sweep import FILEX, TARGETS, TOY_ELS, RunRecord, SweepSpec
+from filexlab.sweep import FILEX, TARGETS, TOY_ELS, RunRecord, SweepSpec, log_sweep
 from filexlab.toy_els import ToyElsParams
+from filexlab.validation import param_kinds
 
 _NOT_POSITIVE = st.one_of(
     st.sampled_from([True, False, math.nan, math.inf, -math.inf,
@@ -55,3 +56,29 @@ def test_positive_parameters_reject_the_same_values(bad):
     else:
         with pytest.raises(ValueError, match="strong_threshold"):
             analyze_records(_RECORDS, strong_threshold=bad)
+
+
+# float(v) overflows for every int of at least 2**1024 in magnitude
+_BEYOND_DOUBLE = st.one_of(st.integers(min_value=2**1024), st.integers(max_value=-(2**1024)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_BEYOND_DOUBLE)
+def test_ints_beyond_double_range_are_not_reals(huge):
+    # an int beyond the double range is no finite real: a ValueError where
+    # it enters, not an OverflowError when a run or a grid converts it
+    for cls, target in ((FilexParams, FILEX), (ToyElsParams, TOY_ELS)):
+        for name, kind in param_kinds(cls).items():
+            if kind is float:
+                with pytest.raises(ValueError, match=name):
+                    cls(**{**TARGETS[target].defaults, name: huge})
+    for low, high in ((huge, 10.0), (1.0, huge)):
+        with pytest.raises(ValueError, match="bounds"):
+            SweepSpec(FILEX, "alpha", low, high, steps=3, integer_valued=False, defaults={},
+                      base_seed=0)
+        with pytest.raises(ValueError, match="bounds"):
+            log_sweep(low, high, 3)
+    with pytest.raises(ValueError, match="bandwidth"):
+        gaussian_smooth([(1.0, 0.0), (10.0, 1.0)], bandwidth=huge)
+    with pytest.raises(ValueError, match="strong_threshold"):
+        analyze_records(_RECORDS, strong_threshold=huge)

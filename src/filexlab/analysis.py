@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .stats import CorrelationSummary, binomial_sign_test, kendall_tau
-from .sweep import FILEX, TOY_ELS
-from .validation import is_real
+from .records import FILEX, TOY_ELS
+from .validation import is_real, shown
 
 # (label, urn-process param, toy-agent param)
 PAIRINGS = (
@@ -72,7 +72,9 @@ def analyze_records(records, strong_threshold: float = DEFAULT_STRONG_THRESHOLD)
     (target, param, seed) row is an error: it would count one run twice.
     """
     if not (is_real(strong_threshold) and strong_threshold >= 0):
-        raise ValueError(f"strong_threshold must be a finite real >= 0, got {strong_threshold!r}")
+        raise ValueError(
+            f"strong_threshold must be a finite real >= 0, got {shown(strong_threshold)}"
+        )
     seen = set()
     for r in records:
         key = (r.target, r.swept_param, r.seed)

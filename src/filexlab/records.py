@@ -5,20 +5,35 @@ value and entropy printed with 17 significant digits so doubles round-trip
 exactly. The sidecar `<stem>.meta.json` holds the fields of the SweepSpec
 that produced the file, in field order, then its skipped grid points and
 the artifact version.
+
+This module owns the row type and the target names, so reading and
+analysing records loads no simulation module.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .sweep import RunRecord, SweepSpec
+FILEX = "filex"
+TOY_ELS = "toy_els"
 
 CSV_HEADER = "target,param,value,seed,entropy"
 
 _VERSION = "0.2.0"
+
+
+@dataclass(frozen=True)
+class RunRecord:
+    """One sweep point: the installed value, its seed, and the entropy measured."""
+
+    target: str
+    swept_param: str
+    value: float
+    seed: int
+    entropy: float
 
 
 def metadata_path(csv_path) -> Path:
@@ -46,8 +61,9 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def write_records(csv_path, records, spec: SweepSpec | None = None, skipped=()) -> None:
-    """Write the CSV; when a spec is given, write the metadata sidecar too.
+def write_records(csv_path, records, spec=None, skipped=()) -> None:
+    """Write the CSV; when a spec (a SweepSpec) is given, write the metadata
+    sidecar too.
     Each file is replaced atomically: a failed write leaves the old one whole."""
     p = Path(csv_path)
     _write_atomic(p, format_rows(records))

@@ -18,7 +18,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .validation import check_positive_int, check_positive_real, is_integer
+from .validation import check_positive_int, check_positive_real, is_integer, shown
 
 SIGN_TOLERANCE = 1e-12
 
@@ -306,7 +306,7 @@ def binomial_sign_test(successes: int, trials: int) -> float:
     """
     check_positive_int("trials", trials)
     if not (is_integer(successes) and 0 <= successes <= trials):
-        raise ValueError(f"successes must be in [0, {trials}], got {successes!r}")
+        raise ValueError(f"successes must be in [0, {shown(trials)}], got {shown(successes)}")
     tail = sum(math.comb(trials, k) for k in range(successes, trials + 1))
     return tail / 2**trials
 

@@ -24,15 +24,13 @@ import numpy as np
 from .filex import FilexParams
 from .filex import run as filex_run
 from .filex import run_many as filex_run_many
+from .records import FILEX, TOY_ELS, RunRecord
 from .seeding import mix64
 from .stats import shannon_entropy
 from .toy_els import ToyElsParams, toy_run
-from .validation import check_positive_int, is_integer, is_real, param_kinds
+from .validation import check_positive_int, is_integer, is_real, param_kinds, shown
 
 _LOG = logging.getLogger(__name__)
-
-FILEX = "filex"
-TOY_ELS = "toy_els"
 
 # snap tolerance for grid values that should be exact integers; geometric
 # grids from the default suites space adjacent points >= 0.69% apart, so
@@ -42,12 +40,12 @@ _INT_SNAP_RTOL = 1e-12
 
 def _check_bounds(low, high) -> None:
     if not all(is_real(b) and b > 0 for b in (low, high)):
-        raise ValueError(f"bounds must be finite positive reals, got ({low!r}, {high!r})")
+        raise ValueError(f"bounds must be finite positive reals, got ({shown(low)}, {shown(high)})")
     if low > high:
         raise ValueError(f"low ({low}) must not exceed high ({high})")
     if not math.isfinite(high / low):
         # the grid is low * (high / low) ** t
-        raise ValueError(f"high / low must be a finite float, got {high!r} / {low!r}")
+        raise ValueError(f"high / low must be a finite float, got {shown(high)} / {shown(low)}")
 
 
 def _python_scalar(v):
@@ -107,7 +105,7 @@ class SweepSpec:
         check_positive_int("steps", self.steps)
         _check_bounds(self.low, self.high)
         if not isinstance(self.integer_valued, bool):
-            raise ValueError(f"integer_valued must be a bool, got {self.integer_valued!r}")
+            raise ValueError(f"integer_valued must be a bool, got {shown(self.integer_valued)}")
         if kinds[self.swept_param] is int and not self.integer_valued:
             # an unfloored grid value is a float, which every point of an int field rejects
             raise ValueError(
@@ -130,17 +128,6 @@ class SweepSpec:
         if self.integer_valued:
             vals = [float(np.floor(v)) for v in vals]
         return vals
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One sweep point: the installed value, its seed, and the entropy measured."""
-
-    target: str
-    swept_param: str
-    value: float
-    seed: int
-    entropy: float
 
 
 @dataclass(frozen=True)

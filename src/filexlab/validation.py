@@ -32,14 +32,26 @@ def is_real(v) -> bool:
         return False
 
 
+def shown(v) -> str:
+    """repr(v) for an error message. repr raises ValueError on an int of more
+    decimal digits than sys.get_int_max_str_digits(): such an int is shown
+    by its size, and a value holding one by its type."""
+    try:
+        return repr(v)
+    except ValueError:
+        if isinstance(v, int):
+            return f"{'a negative' if v < 0 else 'an'} int of {v.bit_length()} bits"
+        return f"a {type(v).__name__} that cannot be printed"
+
+
 def check_positive_int(name: str, v) -> None:
     if not (is_integer(v) and v >= 1):
-        raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        raise ValueError(f"{name} must be a positive integer, got {shown(v)}")
 
 
 def check_positive_real(name: str, v) -> None:
     if not (is_real(v) and v > 0):
-        raise ValueError(f"{name} must be a positive finite real, got {v!r}")
+        raise ValueError(f"{name} must be a positive finite real, got {shown(v)}")
 
 
 def check_positive(params) -> None:

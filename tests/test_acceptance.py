@@ -3,9 +3,10 @@
 The two default sweep suites run once per session, each on one pool of
 two workers, and are shared by the correlation criteria; criterion 9
 checks that the worker count does not change a sweep's output.
-Everything else is self-contained. One more test, not a criterion,
-predicts criterion 1's signs from the closed-form FiLex expected
-collision probability, without simulation.
+Everything else is self-contained. Two more tests, not criteria, predict
+criterion 1's signs without simulation: from the closed-form FiLex
+expected collision probability, and at beta = 1 from the exact expected
+entropy of the Polya urn.
 """
 
 import json
@@ -31,7 +32,7 @@ from filexlab.sweep import (
     log_sweep,
 )
 
-from helpers import expected_collision, kendall_oracle
+from helpers import expected_collision, kendall_oracle, polya_expected_entropy
 
 
 def _verdict(number: int, ok: bool, detail: str) -> None:
@@ -108,6 +109,27 @@ def test_collision_oracle_predicts_criterion_1_signs():
         predicted[spec.swept_param] = -np.sign(steps[0])
     for _, param, expected in _TARGET_TAUS:
         assert predicted[param] == np.sign(expected), param
+
+
+def test_polya_oracle_predicts_criterion_1_signs_at_beta_one():
+    # no simulation: at beta = 1 FiLex is a Polya urn with an exact E[H];
+    # along the n_iters, lexicon_size and alpha grids of the default suite
+    # (taken at 12 steps) it moves strictly the way criterion 1's tau
+    # points. The beta grid is left out: beta is held at 1
+    predicted = {}
+    for spec in default_filex_suite(steps=12):
+        if spec.swept_param == "beta":
+            continue
+        kind = int if spec.integer_valued else float
+        values = sorted({kind(v) for v in spec.grid()})
+        h = [polya_expected_entropy(
+                 FilexParams(**{**spec.defaults, "beta": 1, spec.swept_param: v}))
+             for v in values]
+        signs = set(np.sign(np.diff(h)))
+        assert len(signs) == 1 and 0 not in signs, spec.swept_param
+        predicted[spec.swept_param] = signs.pop()
+    assert predicted == {param: np.sign(expected) for _, param, expected in _TARGET_TAUS
+                         if param != "beta"}
 
 
 def test_criterion_2_sign_match_protocol(suite_dir, toy_suite, capsys):

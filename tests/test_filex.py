@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import digamma
 from scipy.stats import betabinom, chi2
 
 from filexlab.filex import FilexParams, init_state, run, run_batch, run_many, step
@@ -399,6 +402,21 @@ def test_polya_count_pmf_is_beta_binomial():
         a = 1 / (s * params.alpha)
         want = betabinom.pmf(np.arange(n + 1), n, a, (s - 1) * a)
         assert np.allclose(polya_count_pmf(params), want, rtol=1e-9, atol=1e-300), params
+
+
+def test_polya_entropy_approaches_dirichlet_limit():
+    # as N grows the weights tend to Dirichlet(a, ..., a), a = 1/(S alpha),
+    # whose E[H] is (psi(S a + 1) - psi(a + 1)) / ln 2 bits (Blackwell &
+    # MacQueen 1973). The exact finite-N E[H] lies above it, and the gap
+    # shrinks by 7 to 10 times per tenfold N: about as 1/N once N alpha >= 5
+    # (at S = 64, alpha = 1: 0.56, 0.074, 0.0088, 0.0010 bits at N = 10 .. 10,000)
+    for alpha, s in ((1.0, 64), (0.5, 8), (10.0, 16)):
+        a = 1 / (s * alpha)
+        limit = (digamma(s * a + 1) - digamma(a + 1)) / math.log(2)
+        gaps = [polya_expected_entropy(FilexParams(alpha=alpha, beta=1, lexicon_size=s, n_iters=n))
+                - limit for n in (10, 100, 1_000, 10_000)]
+        assert all(g > 0 for g in gaps), (alpha, s, gaps)
+        assert all(7 < g / h < 10 for g, h in zip(gaps, gaps[1:])), (alpha, s, gaps)
 
 
 def _entropy_z(params, dists) -> float:

@@ -1,13 +1,18 @@
 """Import hygiene of the filexlab modules.
 
 Every name a module imports is used in that module; an import kept on
-purpose carries `# noqa: F401` on its line, as `cli.execute_sweep` does
-for the benchmark tracer. No module imports a `_`-prefixed name from
-another filexlab module. Only `sweep` imports the FiLex model, and
-`validation` imports no filexlab module. Importing the CLI does not pull
-in the network stack, fractions, decimal, scipy, html.entities or the
-process-pool machinery, and only a sweep with more than one worker loads
-the latter.
+purpose carries `# noqa: F401` on its line. No module imports a
+`_`-prefixed name from another filexlab module. Only `sweep` imports the
+FiLex model, and `validation` imports no filexlab module. The layers that
+read, analyse and plot records (`records`, `analysis`, `svgplot`, `stats`,
+`validation`) import no simulation module (`sweep`, `filex`, `toy_els`,
+`sampling`, `seeding`), so `analyze` and `plot` never load the
+simulators, the process pool or logging: `cli` imports `sweep` only for
+`run`, `sweep`, a config file or a bare usage message, and resolves the
+`cli.execute_sweep` name the benchmark tracer wraps on first access.
+Importing the CLI does not pull in the network stack, fractions, decimal,
+scipy, html.entities or the process-pool machinery, and only a sweep with
+more than one worker loads the latter.
 """
 
 import ast
@@ -16,6 +21,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from filexlab.analysis import PAIRINGS
+from filexlab.records import FILEX, TOY_ELS, RunRecord, write_records
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "filexlab"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -123,6 +131,16 @@ def test_only_sweep_imports_the_filex_model():
     assert imports["validation.py"] == set()
 
 
+SIMULATION = {"sweep", "filex", "toy_els", "sampling", "seeding"}
+RECORD_LAYERS = ("records.py", "analysis.py", "svgplot.py", "stats.py", "validation.py")
+
+
+def test_record_layers_import_no_simulation_module():
+    for name in RECORD_LAYERS:
+        imports = package_imports((PACKAGE / name).read_text(encoding="utf-8"))
+        assert imports & SIMULATION == set(), name
+
+
 def test_cli_import_leaves_out_urllib():
     # xml.sax.saxutils would pull in urllib.request, and with it http.client,
     # ssl and email: tens of milliseconds in every CLI process. The exact
@@ -156,3 +174,48 @@ print([m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_analyze_and_plot_never_load_the_simulators(tmp_path):
+    # the checks run in order in one fresh process: the simulators stay out
+    # through import, analyze and plot, then a config file, run and sweep
+    # load them and work as before
+    sweeps = {(FILEX, f) for _, f, _ in PAIRINGS} | {(TOY_ELS, t) for *_, t in PAIRINGS}
+    for target, param in sweeps:
+        rows = [RunRecord(target, param, float(2**i), i, float(i % 3)) for i in range(6)]
+        write_records(tmp_path / f"{target}_{param}.csv", rows)
+    (tmp_path / "ok.cfg").write_text("alpha = 2\n", encoding="utf-8")
+    (tmp_path / "bad.cfg").write_text("bogus = 2\n", encoding="utf-8")
+    code = f"""
+import contextlib, io, pathlib, sys
+sys.path.insert(0, {str(PACKAGE.parent)!r})
+out = {str(tmp_path)!r}
+csvs = sorted(str(p) for p in pathlib.Path(out).glob("*.csv"))
+def loaded():
+    return [m for m in ("filexlab.sweep", "filexlab.filex", "filexlab.toy_els", "filexlab.sampling",
+                        "filexlab.seeding", "concurrent.futures", "logging") if m in sys.modules]
+from filexlab import cli
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["analyze", *csvs]), cli.main(["plot", csvs[0], "--out", out + "/p.svg"])]
+print(codes, loaded())
+err = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    codes = [cli.main(["--config", out + "/ok.cfg", "analyze", *csvs]),
+             cli.main(["--config", out + "/bad.cfg", "analyze", *csvs]),
+             cli.main(["run", "--n-iters", "5"]),
+             cli.main(["sweep", "--target", "filex", "--param", "beta", "--low", "1",
+                       "--high", "4", "--steps", "3", "--integer", "--out", out + "/sweep"])]
+print(codes, err.getvalue().strip())
+from filexlab import sweep
+print(cli.execute_sweep is sweep.execute_sweep, hasattr(cli, "no_such_name"))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    bad_cfg = tmp_path / "bad.cfg"
+    assert out.stdout.splitlines() == [
+        "[]",
+        "[0, 0] []",
+        f"[0, 1, 0, 0] error: {bad_cfg}: unknown option 'bogus'",
+        "True False",
+    ]
+    assert (tmp_path / "sweep" / "filex_beta.csv").exists()

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from filexlab.analysis import PAIRINGS, analyze_records
 from filexlab.filex import FilexParams
-from filexlab.stats import gaussian_smooth
+from filexlab.stats import binomial_sign_test, gaussian_smooth
 from filexlab.sweep import FILEX, TARGETS, TOY_ELS, RunRecord, SweepSpec, log_sweep
 from filexlab.toy_els import ToyElsParams
-from filexlab.validation import param_kinds
+from filexlab.validation import param_kinds, shown
 
 _NOT_POSITIVE = st.one_of(
     st.sampled_from([True, False, math.nan, math.inf, -math.inf,
@@ -82,3 +82,40 @@ def test_ints_beyond_double_range_are_not_reals(huge):
         gaussian_smooth([(1.0, 0.0), (10.0, 1.0)], bandwidth=huge)
     with pytest.raises(ValueError, match="strong_threshold"):
         analyze_records(_RECORDS, strong_threshold=huge)
+
+
+# 16,610 bits: past the 4,300 decimal digits Python prints by default
+# (sys.get_int_max_str_digits()), so repr() of it raises ValueError
+_UNPRINTABLE = 10**5000
+
+
+def test_shown_is_repr_or_the_size_of_an_unprintable_int():
+    assert [shown(v) for v in (3, 2.5, "a", True, 10**400)] == [
+        "3", "2.5", "'a'", "True", repr(10**400),
+    ]
+    assert shown(_UNPRINTABLE) == "an int of 16610 bits"
+    assert shown(-_UNPRINTABLE) == "a negative int of 16610 bits"
+    assert shown([_UNPRINTABLE]) == "a list that cannot be printed"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FilexParams(alpha=_UNPRINTABLE, beta=1, lexicon_size=2, n_iters=1),
+     "alpha must be a positive finite real, got an int of 16610 bits"),
+    (lambda: FilexParams(alpha=1.0, beta=1, lexicon_size=-_UNPRINTABLE, n_iters=1),
+     "lexicon_size must be a positive integer, got a negative int of 16610 bits"),
+    (lambda: log_sweep(1, _UNPRINTABLE, 3),
+     "bounds must be finite positive reals, got (1, an int of 16610 bits)"),
+    (lambda: log_sweep(1, 2, -_UNPRINTABLE),
+     "n must be a positive integer, got a negative int of 16610 bits"),
+    (lambda: SweepSpec(FILEX, "alpha", 1.0, 2.0, 3, _UNPRINTABLE, {}, 0),
+     "integer_valued must be a bool, got an int of 16610 bits"),
+    (lambda: binomial_sign_test(_UNPRINTABLE, 3),
+     "successes must be in [0, 3], got an int of 16610 bits"),
+    (lambda: analyze_records(_RECORDS, strong_threshold=-_UNPRINTABLE),
+     "strong_threshold must be a finite real >= 0, got a negative int of 16610 bits"),
+], ids=["real", "int", "bounds", "log_sweep_n", "integer_valued", "sign_test", "threshold"])
+def test_messages_name_an_unprintable_int_by_size(call, message):
+    # the message is the rule's own, not Python's "Exceeds the limit" error
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -15,14 +15,15 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .analysis import DEFAULT_STRONG_THRESHOLD, analyze_records, format_report
+from .params import PARAMS
 from .records import FILEX, read_metadata, read_records, write_records
 from .stats import shannon_entropy
 from .svgplot import build_plot
 from .validation import param_kinds
 
-# analyze and plot never load the simulators: `sweep`, and with it the
-# models, the process pool and logging, is imported only by the run and
-# sweep commands and by a parser that must know their flags
+# analyze and plot never load the simulators: the parser is built from
+# `params`, and `sweep`, with the models, the process pool and logging, is
+# imported only by the run and sweep commands
 
 
 def __getattr__(name: str):
@@ -34,9 +35,8 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _param_kinds(targets) -> dict[str, type]:
-    # every target's parameters, in table then field order, with their int/float kinds
-    return {k: v for t in targets.values() for k, v in param_kinds(t.params_cls).items()}
+# every target's parameters, in table then field order, with their int/float kinds
+_PARAM_KINDS = {k: v for cls in PARAMS.values() for k, v in param_kinds(cls).items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,25 +46,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser(targets: dict | None) -> tuple[_Parser, dict[str, _Parser]]:
-    # without targets (sweep.TARGETS), run and sweep lack --target and the
-    # parameter flags: fine for parsing any other command
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="filexlab", description=__doc__)
     parser.add_argument("--config", help="plain-text config file with key = value lines")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     subs: dict[str, _Parser] = {}
 
     p_run = subs["run"] = sub.add_parser("run", help="single simulation, print distribution")
-    if targets is not None:
-        p_run.add_argument("--target", choices=(*targets,), default=FILEX)
+    p_run.add_argument("--target", choices=(*PARAMS,), default=FILEX)
     p_run.add_argument("--seed", type=int, default=0)
-    if targets is not None:
-        for name, kind in _param_kinds(targets).items():
-            p_run.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind, default=None)
+    for name, kind in _PARAM_KINDS.items():
+        p_run.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind, default=None)
 
     p_sweep = subs["sweep"] = sub.add_parser("sweep", help="run sweep suites, write CSVs")
-    if targets is not None:
-        p_sweep.add_argument("--target", choices=(*targets, "all"), default="all")
+    p_sweep.add_argument("--target", choices=(*PARAMS, "all"), default="all")
     p_sweep.add_argument("--seed", type=int, default=0, help="root seed for the suite")
     p_sweep.add_argument("--steps", type=int, default=None, help="grid points per sweep")
     p_sweep.add_argument("--workers", type=int, default=1)
@@ -113,29 +108,6 @@ def _read_config(path: str) -> dict:
     return out
 
 
-def _config_path(argv: list[str]) -> str | None:
-    # scan by hand: a real parse would trip on a missing subcommand first
-    path = None
-    for i, a in enumerate(argv):
-        if a == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif a.startswith("--config="):
-            path = a.split("=", 1)[1]
-    return path
-
-
-def _command(argv: list[str]) -> str | None:
-    """The first token naming a subcommand, skipping the value of --config
-    (or of a prefix of it, which argparse also accepts); None if there is none."""
-    tokens = iter(argv)
-    for a in tokens:
-        if a in _COMMANDS:
-            return a
-        if len(a) > 2 and "--config".startswith(a):
-            next(tokens, None)
-    return None
-
-
 def _apply_config(subs: dict, path: str) -> None:
     config = _read_config(path)
     known = {a.dest for p in subs.values() for a in p._actions}
@@ -151,8 +123,7 @@ def _cmd_run(args) -> int:
     from .sweep import TARGETS
 
     target = TARGETS[args.target]
-    given = {name: getattr(args, name) for name in _param_kinds(TARGETS)
-             if getattr(args, name) is not None}
+    given = {name: getattr(args, name) for name in _PARAM_KINDS if getattr(args, name) is not None}
     for name in given:
         if name not in param_kinds(target.params_cls):
             raise ValueError(f"{name} is not a {args.target} parameter")
@@ -239,17 +210,13 @@ _COMMANDS = {"run": _cmd_run, "sweep": _cmd_sweep, "analyze": _cmd_analyze, "plo
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    config = _config_path(argv)
-    targets = None
-    # a config file's keys are checked against every subcommand's flags
-    if config is not None or _command(argv) in (None, "run", "sweep"):
-        from .sweep import TARGETS as targets
-    parser, subs = _build_parser(targets)
+    parser, subs = _build_parser()
     try:
-        if config is not None:
-            _apply_config(subs, config)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # the file's values become defaults, and the command line is parsed again over them
+            _apply_config(subs, args.config)
+            args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

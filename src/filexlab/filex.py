@@ -16,32 +16,11 @@ so any drift toward low entropy is purely variance-driven.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .params import FilexParams
 from .sampling import categorical_counts
 from .seeding import make_rng
-from .validation import check_positive
-
-
-@dataclass(frozen=True)
-class FilexParams:
-    """Process hyperparameters (alpha, beta, S, N).
-
-    alpha: total weight mass added per iteration (update magnitude).
-    beta: draws per iteration; more draws make smoother updates.
-    lexicon_size: number of words S.
-    n_iters: number of update iterations N.
-    """
-
-    alpha: float
-    beta: int
-    lexicon_size: int
-    n_iters: int
-
-    def __post_init__(self):
-        check_positive(self)
 
 
 def init_state(params: FilexParams) -> np.ndarray:

@@ -1,0 +1,61 @@
+"""The parameter sets of both simulated processes, with their validity rules.
+
+`PARAMS` maps each target name to its parameter class. The field names
+are the parameter names and their annotations the int/float kinds, so the
+CLI builds every flag from this table without loading a model.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .records import FILEX, TOY_ELS
+from .validation import check_positive
+
+
+@dataclass(frozen=True)
+class FilexParams:
+    """Process hyperparameters (alpha, beta, S, N).
+
+    alpha: total weight mass added per iteration (update magnitude).
+    beta: draws per iteration; more draws make smoother updates.
+    lexicon_size: number of words S.
+    n_iters: number of update iterations N.
+    """
+
+    alpha: float
+    beta: int
+    lexicon_size: int
+    n_iters: int
+
+    def __post_init__(self):
+        check_positive(self)
+
+
+@dataclass(frozen=True)
+class ToyElsParams:
+    """Hyperparameters of the toy agent.
+
+    time_steps is the total episode budget; each parameter update consumes
+    buffer_size episodes, so a run applies floor(time_steps / buffer_size)
+    updates. eval_samples controls the precision of the final frequency
+    estimate only, not the learning dynamics.
+    """
+
+    time_steps: int
+    lexicon_size: int
+    learning_rate: float
+    buffer_size: int
+    temperature: float
+    eval_samples: int = 10_000
+
+    def __post_init__(self) -> None:
+        check_positive(self)
+        if self.buffer_size > self.time_steps:
+            raise ValueError(
+                f"buffer_size ({self.buffer_size}) must not exceed "
+                f"time_steps ({self.time_steps}); no update would fit"
+            )
+
+
+PARAMS = {FILEX: FilexParams, TOY_ELS: ToyElsParams}

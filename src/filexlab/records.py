@@ -99,13 +99,18 @@ def read_records(csv_path) -> list[RunRecord]:
 def read_metadata(csv_path) -> dict | None:
     """The sidecar contents, or None when no sidecar exists.
 
-    A sidecar that is not a JSON object is a ValueError. The fields are
-    not checked here: each reader checks the ones it reads.
+    A sidecar that is not a JSON object is a ValueError, and so is one
+    json cannot read (malformed, or an int of more digits than Python
+    converts); either names the sidecar. The fields are not checked here:
+    each reader checks the ones it reads.
     """
     p = metadata_path(csv_path)
     if not p.exists():
         return None
-    meta = json.loads(p.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(p.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{p}: {exc}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{p}: expected a JSON object, got {type(meta).__name__}")
     return meta

@@ -21,13 +21,13 @@ from typing import Callable, Generator
 
 import numpy as np
 
-from .filex import FilexParams
 from .filex import run as filex_run
 from .filex import run_many as filex_run_many
+from .params import PARAMS
 from .records import FILEX, TOY_ELS, RunRecord
 from .seeding import mix64
 from .stats import shannon_entropy
-from .toy_els import ToyElsParams, toy_run
+from .toy_els import toy_run
 from .validation import check_positive_int, is_integer, is_real, param_kinds, shown
 
 _LOG = logging.getLogger(__name__)
@@ -325,14 +325,14 @@ class Target:
 # every call. Pool workers receive the target's name and look it up here.
 TARGETS = {
     FILEX: Target(
-        params_cls=FilexParams,
+        params_cls=PARAMS[FILEX],
         run=lambda params, seed: filex_run(params, seed),
         run_many=lambda params_list, seeds: filex_run_many(params_list, seeds),
         defaults={"alpha": 1.0, "beta": 8, "lexicon_size": 64, "n_iters": 1000},
         suite=default_filex_suite,
     ),
     TOY_ELS: Target(
-        params_cls=ToyElsParams,
+        params_cls=PARAMS[TOY_ELS],
         run=lambda params, seed: toy_run(params, seed),
         run_many=lambda params_list, seeds: [toy_run(p, s) for p, s in zip(params_list, seeds)],
         defaults={

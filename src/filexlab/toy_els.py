@@ -12,43 +12,16 @@ and relaxation temperature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .params import ToyElsParams
 from .sampling import categorical_counts  # noqa: F401  (unused; the benchmark tracer wraps this name)
 from .seeding import make_rng
-from .validation import check_positive
 
 # smallest positive normal double: an Exp(1) draw of exactly 0.0 is raised
 # to it, so -log E stays finite (about 708) instead of +inf
 _TINY = np.finfo(np.float64).tiny
-
-
-@dataclass(frozen=True)
-class ToyElsParams:
-    """Hyperparameters of the toy agent.
-
-    time_steps is the total episode budget; each parameter update consumes
-    buffer_size episodes, so a run applies floor(time_steps / buffer_size)
-    updates. eval_samples controls the precision of the final frequency
-    estimate only, not the learning dynamics.
-    """
-
-    time_steps: int
-    lexicon_size: int
-    learning_rate: float
-    buffer_size: int
-    temperature: float
-    eval_samples: int = 10_000
-
-    def __post_init__(self) -> None:
-        check_positive(self)
-        if self.buffer_size > self.time_steps:
-            raise ValueError(
-                f"buffer_size ({self.buffer_size}) must not exceed "
-                f"time_steps ({self.time_steps}); no update would fit"
-            )
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

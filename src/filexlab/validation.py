@@ -9,8 +9,6 @@ import numbers
 from dataclasses import fields
 from typing import get_type_hints
 
-import numpy as np
-
 
 @functools.cache
 def param_kinds(params_cls: type) -> dict[str, type]:
@@ -20,8 +18,9 @@ def param_kinds(params_cls: type) -> dict[str, type]:
 
 
 def is_integer(v) -> bool:
-    """True for an int or numpy integer."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+    """True for an int or numpy integer (numpy registers its integer types,
+    not np.bool_, as numbers.Integral)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def is_real(v) -> bool:

@@ -238,6 +238,19 @@ def test_plot_lexicon_size_beyond_double_range_exits_one(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: metadata defaults.lexicon_size")
 
 
+def test_plot_sidecar_int_beyond_the_digit_limit_names_the_sidecar(tmp_path, capsys):
+    # json cannot convert an int of more than 4,300 digits: the error line
+    # names the sidecar instead of only repeating Python's digit limit
+    paths = synth_suite_files(tmp_path)
+    sidecar = metadata_path(paths[0])
+    sidecar.write_text('{"defaults": {"lexicon_size": 1' + "0" * 5000 + "}}", encoding="utf-8")
+    assert main(["plot", paths[0]]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {sidecar}: ")
+    assert "4300 digits" in lines[0]
+    assert not Path(paths[0]).with_suffix(".svg").exists()
+
+
 def test_analyze_missing_file_exits_two(tmp_path):
     assert main(["analyze", str(tmp_path / "absent.csv")]) == 2
 
@@ -314,6 +327,21 @@ def test_cli_overrides_config(tmp_path):
     ])
     assert rc == 0
     assert len(read_records(tmp_path / "filex_beta.csv")) == 2
+
+
+@pytest.mark.parametrize("spelling", [["--config", "{}"], ["--config={}"], ["--conf", "{}"], ["--co={}"]],
+                         ids=["config", "config=", "conf", "co="])
+def test_config_is_read_in_every_spelling_argparse_accepts(tmp_path, capsys, spelling):
+    # argparse takes any unambiguous prefix of --config, with the value
+    # after a space or an '='; the file must apply in each
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("alpha = 2\n", encoding="utf-8")
+    assert main(["run", "--n-iters", "2", "--alpha", "2"]) == 0
+    expected = capsys.readouterr().out
+    assert main([*(a.format(cfg) for a in spelling), "run", "--n-iters", "2"]) == 0
+    assert capsys.readouterr().out == expected
+    assert main(["run", "--n-iters", "2"]) == 0
+    assert capsys.readouterr().out != expected
 
 
 def test_config_unknown_key_exits_one(tmp_path, capsys):

@@ -3,13 +3,14 @@
 Every name a module imports is used in that module; an import kept on
 purpose carries `# noqa: F401` on its line. No module imports a
 `_`-prefixed name from another filexlab module. Only `sweep` imports the
-FiLex model, and `validation` imports no filexlab module. The layers that
-read, analyse and plot records (`records`, `analysis`, `svgplot`, `stats`,
-`validation`) import no simulation module (`sweep`, `filex`, `toy_els`,
-`sampling`, `seeding`), so `analyze` and `plot` never load the
-simulators, the process pool or logging: `cli` imports `sweep` only for
-`run`, `sweep`, a config file or a bare usage message, and resolves the
-`cli.execute_sweep` name the benchmark tracer wraps on first access.
+FiLex model, `validation` imports no filexlab module, and neither
+`validation` nor `params` imports numpy. The layers that read, analyse and
+plot records (`records`, `analysis`, `svgplot`, `stats`, `validation`,
+`params`) import no simulation module (`sweep`, `filex`, `toy_els`,
+`sampling`, `seeding`), so `analyze`, `plot` and `--help` never load the
+simulators, the process pool or logging: `cli` builds its one parser from
+`params.PARAMS`, imports `sweep` only for `run` and `sweep`, and resolves
+the `cli.execute_sweep` name the benchmark tracer wraps on first access.
 Importing the CLI does not pull in the network stack, fractions, decimal,
 scipy, html.entities or the process-pool machinery, and only a sweep with
 more than one worker loads the latter.
@@ -132,13 +133,40 @@ def test_only_sweep_imports_the_filex_model():
 
 
 SIMULATION = {"sweep", "filex", "toy_els", "sampling", "seeding"}
-RECORD_LAYERS = ("records.py", "analysis.py", "svgplot.py", "stats.py", "validation.py")
+RECORD_LAYERS = ("records.py", "analysis.py", "svgplot.py", "stats.py", "validation.py",
+                 "params.py")
 
 
 def test_record_layers_import_no_simulation_module():
     for name in RECORD_LAYERS:
         imports = package_imports((PACKAGE / name).read_text(encoding="utf-8"))
         assert imports & SIMULATION == set(), name
+
+
+def external_imports(source: str) -> set[str]:
+    """The top-level packages the source imports by absolute name."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_external_checker_skips_relative_imports():
+    source = "import numpy.linalg\nimport os, math\nfrom typing import Any\nfrom .stats import x\n"
+    assert external_imports(source) == {"numpy", "os", "math", "typing"}
+
+
+def test_validation_and_params_import_no_numpy():
+    # the number rules and both parameter sets, from which cli builds its
+    # parser, stand on the standard library and the target names alone
+    for name in ("validation.py", "params.py"):
+        assert "numpy" not in external_imports((PACKAGE / name).read_text(encoding="utf-8")), name
+    assert package_imports((PACKAGE / "params.py").read_text(encoding="utf-8")) == {
+        "records", "validation",
+    }
 
 
 def test_cli_import_leaves_out_urllib():
@@ -178,8 +206,8 @@ print([m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.
 
 def test_analyze_and_plot_never_load_the_simulators(tmp_path):
     # the checks run in order in one fresh process: the simulators stay out
-    # through import, analyze and plot, then a config file, run and sweep
-    # load them and work as before
+    # through import, analyze, plot, --help and a config file in any
+    # spelling, then run and sweep load them and work as before
     sweeps = {(FILEX, f) for _, f, _ in PAIRINGS} | {(TOY_ELS, t) for *_, t in PAIRINGS}
     for target, param in sweeps:
         rows = [RunRecord(target, param, float(2**i), i, float(i % 3)) for i in range(6)]
@@ -199,6 +227,14 @@ print(loaded())
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["analyze", *csvs]), cli.main(["plot", csvs[0], "--out", out + "/p.svg"])]
 print(codes, loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main(["--help"])
+    except SystemExit as exc:
+        codes = [exc.code]
+    codes += [cli.main(["--conf", out + "/ok.cfg", "analyze", *csvs]),
+              cli.main(["--config", out + "/ok.cfg", "analyze", *csvs])]
+print(codes, loaded())
 err = io.StringIO()
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
     codes = [cli.main(["--config", out + "/ok.cfg", "analyze", *csvs]),
@@ -215,6 +251,7 @@ print(cli.execute_sweep is sweep.execute_sweep, hasattr(cli, "no_such_name"))
     assert out.stdout.splitlines() == [
         "[]",
         "[0, 0] []",
+        "[0, 0, 0] []",
         f"[0, 1, 0, 0] error: {bad_cfg}: unknown option 'bogus'",
         "True False",
     ]

@@ -14,10 +14,10 @@ from filexlab.filex import FilexParams
 from filexlab.stats import binomial_sign_test, gaussian_smooth
 from filexlab.sweep import FILEX, TARGETS, TOY_ELS, RunRecord, SweepSpec, log_sweep
 from filexlab.toy_els import ToyElsParams
-from filexlab.validation import param_kinds, shown
+from filexlab.validation import is_integer, param_kinds, shown
 
 _NOT_POSITIVE = st.one_of(
-    st.sampled_from([True, False, math.nan, math.inf, -math.inf,
+    st.sampled_from([True, False, np.True_, np.False_, math.nan, math.inf, -math.inf,
                      np.float64(math.nan), np.float32(math.inf), np.float32(-math.inf)]),
     st.floats(max_value=0.0),
     st.floats(max_value=0.0).map(np.float64),
@@ -35,7 +35,7 @@ _RECORDS = [
 
 
 def _is_zero(v) -> bool:
-    return not isinstance(v, bool) and v == 0
+    return not isinstance(v, (bool, np.bool_)) and v == 0
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -56,6 +56,12 @@ def test_positive_parameters_reject_the_same_values(bad):
     else:
         with pytest.raises(ValueError, match="strong_threshold"):
             analyze_records(_RECORDS, strong_threshold=bad)
+
+
+@pytest.mark.parametrize("v", [3, np.int8(3), np.int64(3), np.uint64(3)], ids=repr)
+def test_numpy_integers_of_every_width_are_integers(v):
+    assert is_integer(v)
+    assert FilexParams(alpha=1.0, beta=v, lexicon_size=v, n_iters=v).beta == 3
 
 
 # float(v) overflows for every int of at least 2**1024 in magnitude

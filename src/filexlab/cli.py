@@ -83,18 +83,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, subs
 
 
-def _coerce(text: str):
-    s = text.strip()
-    if s.lower() in ("true", "false"):
-        return s.lower() == "true"
-    for kind in (int, float):
-        try:
-            return kind(s)
-        except ValueError:
-            pass
-    return s
-
-
 def _read_config(path: str) -> dict:
     out = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -104,19 +92,36 @@ def _read_config(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = _coerce(value)
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
+def _config_value(action: argparse.Action, text: str, path: str):
+    # a value means what the same flag means: argparse converts a string
+    # default with the option's type, an untyped option keeps the text, and
+    # true/false are bools, for a flag or for the parameter checks to reject
+    if text.lower() in ("true", "false") and (action.type is not None or action.nargs == 0):
+        return text.lower() == "true"
+    if action.nargs == 0:
+        raise ValueError(f"{path}: {action.dest} is a flag: true or false, got {text!r}")
+    return text
+
+
 def _apply_config(subs: dict, path: str) -> None:
-    config = _read_config(path)
-    known = {a.dest for p in subs.values() for a in p._actions}
-    for key, value in config.items():
-        if key not in known:
+    for key, text in _read_config(path).items():
+        actions = [(p, a) for p in subs.values() for a in p._actions if a.dest == key]
+        if not actions:
             raise ValueError(f"{path}: unknown option {key!r}")
-        for p in subs.values():
-            if any(a.dest == key for a in p._actions):
-                p.set_defaults(**{key: value})
+        for p, a in actions:
+            p.set_defaults(**{key: _config_value(a, text, path)})
+
+
+def _check_choices(sub: _Parser, args, path: str) -> None:
+    # argparse checks choices on the command line, never in a default
+    for a in sub._actions:
+        value = getattr(args, a.dest, None)
+        if a.choices is not None and value not in a.choices:
+            raise ValueError(f"{path}: {a.dest} must be one of {', '.join(a.choices)}, got {value!r}")
 
 
 def _cmd_run(args) -> int:
@@ -217,6 +222,7 @@ def main(argv: list[str] | None = None) -> int:
             # the file's values become defaults, and the command line is parsed again over them
             _apply_config(subs, args.config)
             args = parser.parse_args(argv)
+            _check_choices(subs[args.command], args, args.config)
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

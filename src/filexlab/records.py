@@ -75,24 +75,21 @@ def write_records(csv_path, records, spec=None, skipped=()) -> None:
 
 def read_records(csv_path) -> list[RunRecord]:
     text = Path(csv_path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
+    # (line number, text) of each non-blank line
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise ValueError(f"{csv_path}: missing record header {CSV_HEADER!r}")
     out = []
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 5:
             raise ValueError(f"{csv_path}:{i}: expected 5 fields, got {len(parts)}")
         target, param, value, seed, entropy = parts
-        out.append(
-            RunRecord(
-                target=target,
-                swept_param=param,
-                value=float(value),
-                seed=int(seed),
-                entropy=float(entropy),
-            )
-        )
+        try:
+            record = RunRecord(target, param, float(value), int(seed), float(entropy))
+        except ValueError as exc:
+            raise ValueError(f"{csv_path}:{i}: {exc}") from None
+        out.append(record)
     return out
 
 

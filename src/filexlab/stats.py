@@ -83,66 +83,47 @@ def _finite_points(points, n_min: int) -> np.ndarray:
     return pts
 
 
-def _tie_group_sizes(values: np.ndarray) -> np.ndarray:
-    _, counts = np.unique(values, return_counts=True)
-    return counts[counts > 1].astype(np.int64)
-
-
-def _count_swaps(y: list) -> int:
-    """Pairs i<j with y[i] > y[j] (strict), by merge sort. O(n log n)."""
-    n = len(y)
-    buf = list(y)
-    tmp = [0.0] * n
-    swaps = 0
-    width = 1
-    while width < n:
-        for lo in range(0, n - width, 2 * width):
-            mid = lo + width
-            hi = min(lo + 2 * width, n)
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if buf[j] < buf[i]:
-                    swaps += mid - i
-                    tmp[k] = buf[j]
-                    j += 1
-                else:
-                    tmp[k] = buf[i]
-                    i += 1
-                k += 1
-            tmp[k:hi] = buf[i:mid] if i < mid else buf[j:hi]
-            buf[lo:hi] = tmp[lo:hi]
-        width *= 2
-    return swaps
-
-
-def _concordant_minus_discordant(x: np.ndarray, y: np.ndarray) -> tuple[int, int, int]:
-    """(C - D, x-tied pairs, y-tied pairs) for the tau-b numerator/denominator."""
-    n = len(x)
-    order = np.lexsort((y, x))
-    xs, ys = x[order], y[order]
-
-    def pairs(groups):
-        return int((groups * (groups - 1) // 2).sum())
-
-    xtie = pairs(_tie_group_sizes(xs))
-    ytie = pairs(_tie_group_sizes(ys))
-    both = np.unique(np.column_stack((xs, ys)), axis=0, return_counts=True)[1]
-    ntie = pairs(both[both > 1].astype(np.int64))
-
-    # after the x-major sort, discordant pairs are exactly the strict
-    # descents of the y sequence
-    dis = _count_swaps(list(ys))
-    tot = n * (n - 1) // 2
-    return tot - xtie - ytie + ntie - 2 * dis, xtie, ytie
-
-
 def _dense_ranks(values: np.ndarray) -> np.ndarray:
-    """0-based ranks of the distinct values, tied values sharing one, as int8.
+    """0-based ranks of the distinct values, tied values sharing one.
 
-    They keep every order and tie of the values, so C - D is unchanged;
-    only enumeration and Monte Carlo (n <= 50) use them, so they fit in int8.
+    They keep every order and tie of the values, so every count that
+    Kendall tau needs comes from them in integers.
     """
-    return np.unique(values, return_inverse=True)[1].astype(np.int8)
+    return np.unique(values, return_inverse=True)[1]
+
+
+def _tied_pairs(group_sizes: np.ndarray) -> int:
+    return int((group_sizes * (group_sizes - 1) // 2).sum())
+
+
+def _inversions(ranks: np.ndarray, size: int) -> int:
+    """Pairs i < j with ranks[i] > ranks[j], for ranks in range(size), by a
+    Fenwick tree of how often each rank came earlier. O(n log size)."""
+    tree = [0] * (size + 1)
+    inversions = 0
+    for seen, rank in enumerate(ranks.tolist()):
+        inversions += seen  # every earlier rank, less those at or below this one
+        i = rank + 1
+        while i:
+            inversions -= tree[i]
+            i &= i - 1
+        i = rank + 1
+        while i <= size:
+            tree[i] += 1
+            i += i & -i
+    return inversions
+
+
+def _concordant_minus_discordant(xr: np.ndarray, yr: np.ndarray, xtie: int, ytie: int) -> int:
+    """C - D from the dense ranks and the x- and y-tied pair counts.
+
+    C + D counts the pairs tied in neither margin. Sorted x-major, ties
+    broken by y, the discordant pairs are exactly the inversions of y.
+    """
+    n, base = len(xr), int(yr.max()) + 1
+    keys = np.sort(xr * base + yr)
+    both = _tied_pairs(np.unique(keys, return_counts=True)[1])
+    return n * (n - 1) // 2 - xtie - ytie + both - 2 * _inversions(keys % base, base)
 
 
 def _x_ordered_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,12 +141,13 @@ def _signed_pair_sums(pairs: tuple[np.ndarray, np.ndarray], yranks: np.ndarray) 
     Each row assigns y's dense ranks to the n points. With `pairs` from
     `_x_ordered_pairs(x)`, C - D is the sum of sign(y[hi] - y[lo]) over the
     upper triangle, n(n-1)/2 pairs at most, so no x sign is multiplied in.
-    Cost is O(rows * n^2 / 2) in int8 temporaries of rows * n(n-1)/2 bytes,
-    2.4 MB for 2,000 rows at n = 50; |C - D| <= 1225 there, so the int16
-    sums are exact.
+    The ranks are taken as int8, as they fit for n <= 50. Cost is
+    O(rows * n^2 / 2) in int8 temporaries of rows * n(n-1)/2 bytes, 2.4 MB
+    for 2,000 rows at n = 50; |C - D| <= 1225 there, so the int16 sums are
+    exact.
     """
     lo, hi = pairs
-    t = np.ascontiguousarray(yranks.T)
+    t = np.ascontiguousarray(yranks.T, dtype=np.int8)
     d = t[hi] - t[lo]
     np.sign(d, out=d)
     return d.sum(axis=0, dtype=np.int16)
@@ -240,20 +222,19 @@ def _p_montecarlo(pairs, yranks: np.ndarray, observed_cmd: int) -> float:
     return (hits + 1) / (_MC_PERMUTATIONS + 1)
 
 
-def _p_normal(x: np.ndarray, y: np.ndarray, observed_cmd: int) -> float:
-    # tie-corrected variance of C - D under the null of independence
-    n = len(x)
-
-    def tie_sums(values):
-        t = _tie_group_sizes(values).astype(np.float64)
+def _p_normal(n: int, xcounts: np.ndarray, ycounts: np.ndarray, observed_cmd: int) -> float:
+    # tie-corrected variance of C - D under the null of independence, from
+    # each margin's tie group sizes
+    def tie_sums(counts):
+        t = counts[counts > 1].astype(np.float64)
         return (
             float((t * (t - 1) / 2).sum()),
             float((t * (t - 1) * (t - 2)).sum()),
             float((t * (t - 1) * (2 * t + 5)).sum()),
         )
 
-    xtie, x3, xv = tie_sums(x)
-    ytie, y3, yv = tie_sums(y)
+    xtie, x3, xv = tie_sums(xcounts)
+    ytie, y3, yv = tie_sums(ycounts)
     m = n * (n - 1)
     var = (
         (m * (2 * n + 5) - xv - yv) / 18.0
@@ -272,22 +253,25 @@ def kendall_tau(points) -> CorrelationSummary:
     x, y = _finite_points(points, 2).T
     n = len(x)
 
-    cmd, xtie, ytie = _concordant_minus_discordant(x, y)
+    xr, yr = _dense_ranks(x), _dense_ranks(y)
+    xcounts, ycounts = np.bincount(xr), np.bincount(yr)
+    xtie, ytie = _tied_pairs(xcounts), _tied_pairs(ycounts)
     tot = n * (n - 1) // 2
     if xtie == tot:
         raise UndefinedCorrelationError("all x values are tied; tau is undefined")
     if ytie == tot:
         raise UndefinedCorrelationError("all y values are tied; tau is undefined")
+    cmd = _concordant_minus_discordant(xr, yr, xtie, ytie)
     tau = cmd / math.sqrt(float(tot - xtie) * float(tot - ytie))
     tau = max(-1.0, min(1.0, tau))
 
     if n > 50:
-        p = _p_normal(x, y, cmd)
+        p = _p_normal(n, xcounts, ycounts, cmd)
     elif not (xtie and ytie):
-        p = _p_inversions(n, _tie_group_sizes(x if xtie else y), cmd)
+        p = _p_inversions(n, xcounts if xtie else ycounts, cmd)
     else:
         permutation_p = _p_enumerate if n <= 8 else _p_montecarlo
-        p = permutation_p(_x_ordered_pairs(x), _dense_ranks(y), cmd)
+        p = permutation_p(_x_ordered_pairs(xr), yr, cmd)
     p = max(0.0, min(1.0, p))
 
     if tau > SIGN_TOLERANCE:

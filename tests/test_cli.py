@@ -386,3 +386,66 @@ def test_config_bool_bound_exits_one(tmp_path, capsys):
     assert rc == 1
     assert "error: bounds must be finite positive reals" in capsys.readouterr().err
     assert not (tmp_path / "filex_n_iters.csv").exists()
+
+
+@pytest.mark.parametrize("target, command", [
+    ("nope", ["run"]),
+    ("nope", ["sweep", "--steps", "2"]),
+    ("all", ["run"]),
+], ids=["run-nope", "sweep-nope", "run-all"])
+def test_config_target_outside_the_choices_exits_one(tmp_path, capsys, monkeypatch, target, command):
+    # argparse checks choices only on the command line; a config value is
+    # checked against the chosen command's choices too
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text(f"target = {target}\n", encoding="utf-8")
+    assert main(["--config", str(cfg), *command]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {cfg}: target must be one of ")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("out", ["123", "true"])
+def test_config_untyped_value_keeps_its_text(tmp_path, monkeypatch, out):
+    # --out has no type: its config value is a directory name, whatever it reads like
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lab.cfg").write_text(f"out = {out}\n", encoding="utf-8")
+    rc = main(["--config", "lab.cfg", "sweep", "--target", "filex", "--param", "n_iters",
+               "--low", "1", "--high", "10", "--steps", "2", "--integer"])
+    assert rc == 0
+    assert len(read_records(tmp_path / out / "filex_n_iters.csv")) == 2
+
+
+def test_config_and_flags_write_the_same_sidecar(tmp_path):
+    # low = 1 is converted by --low's own type, to 1.0, as on the command line
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("target = filex\nparam = beta\nlow = 1\nhigh = 4\nsteps = 3\n"
+                   "integer = true\nseed = 2\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "sweep", "--out", str(tmp_path / "cfg")]) == 0
+    assert main(["sweep", "--target", "filex", "--param", "beta", "--low", "1", "--high", "4",
+                 "--steps", "3", "--integer", "--seed", "2", "--out", str(tmp_path / "flags")]) == 0
+    for name in ("filex_beta.csv", "filex_beta.meta.json"):
+        assert (tmp_path / "cfg" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+    assert '"low": 1.0,' in (tmp_path / "cfg" / "filex_beta.meta.json").read_text(encoding="utf-8")
+
+
+def test_config_flag_takes_true_or_false(tmp_path, capsys):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("integer = 0\n", encoding="utf-8")
+    rc = main(["--config", str(cfg), "sweep", "--target", "filex", "--steps", "1",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert f"error: {cfg}: integer is a flag: true or false" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, field, message", [
+    ("plot", "seed", "invalid literal for int() with base 10: 'abc'"),
+    ("analyze", "entropy", "could not convert string to float: 'x'"),
+])
+def test_unparsable_record_field_names_file_and_line(tmp_path, capsys, command, field, message):
+    csv = tmp_path / "filex_alpha.csv"
+    row = {"seed": "filex,alpha,1.0,abc,2.0", "entropy": "filex,alpha,1.0,3,x"}[field]
+    csv.write_text(f"target,param,value,seed,entropy\n{row}\n", encoding="utf-8")
+    assert main([command, str(csv)]) == 1
+    assert capsys.readouterr().err == f"error: {csv}:2: {message}\n"

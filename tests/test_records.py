@@ -153,6 +153,20 @@ def test_rejects_malformed_row(tmp_path):
         read_records(path)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("filex,alpha,1.0,abc,2.0", "invalid literal for int() with base 10: 'abc'"),
+    ("filex,alpha,1.0,42,x", "could not convert string to float: 'x'"),
+    ("filex,alpha,one,42,2.0", "could not convert string to float: 'one'"),
+], ids=["seed", "entropy", "value"])
+def test_unparsable_field_names_file_and_line(tmp_path, row, message):
+    # the blank line still counts: the bad row is line 4 of the file
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{CSV_HEADER}\nfilex,alpha,1.0,7,2.0\n\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_records(path)
+    assert str(err.value) == f"{path}:4: {message}"
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         read_records(tmp_path / "nope.csv")

@@ -147,7 +147,8 @@ def test_tau_montecarlo_regime():
 # p sits well inside (0, 1) and x is not monotone, so a kernel that
 # miscounts C - D moves it; these values change only with a p-value
 # re-baseline. Each row: points, pinned p, and the 100k-permutation Monte
-# Carlo estimate the first three had before their exact null was used.
+# Carlo estimate the first three had before their exact null was used. The
+# last row pins the Monte Carlo permutation stream itself.
 _PINNED_P = [
     ([((i * 23) % 41, (i * 11) % 43) for i in range(40)],
      0.43750613358676754, 0.43978560214397855),  # exact, untied
@@ -157,6 +158,8 @@ _PINNED_P = [
      0.45589626056552834, 0.45535544644553555),  # exact, tied y
     ([((i * 3) % 8 // 2, (i * 7) % 9 // 2) for i in range(8)],
      0.3341269841269841, None),  # enumeration, both tied
+    ([(i // 2, (i * 7) % 13 // 3) for i in range(20)],
+     0.7764622353776462, None),  # Monte Carlo, both tied
 ]
 
 

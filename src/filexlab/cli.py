@@ -19,7 +19,7 @@ from .params import PARAMS
 from .records import FILEX, read_metadata, read_records, write_records
 from .stats import shannon_entropy
 from .svgplot import build_plot
-from .validation import param_kinds
+from .validation import is_integer, param_kinds, shown
 
 # analyze and plot never load the simulators: the parser is built from
 # `params`, and `sweep`, with the models, the process pool and logging, is
@@ -97,14 +97,19 @@ def _read_config(path: str) -> dict:
 
 
 def _config_value(action: argparse.Action, text: str, path: str):
-    # a value means what the same flag means: argparse converts a string
-    # default with the option's type, an untyped option keeps the text, and
-    # true/false are bools, for a flag or for the parameter checks to reject
+    # a value means what the same flag means: the option's type converts
+    # it, an untyped option keeps the text, and true/false are bools, for a
+    # flag or for the parameter checks to reject
     if text.lower() in ("true", "false") and (action.type is not None or action.nargs == 0):
         return text.lower() == "true"
     if action.nargs == 0:
         raise ValueError(f"{path}: {action.dest} is a flag: true or false, got {text!r}")
-    return text
+    if action.type is None:
+        return text
+    try:
+        return action.type(text)
+    except ValueError:
+        raise ValueError(f"{path}: {action.dest}: invalid {action.type.__name__} value {text!r}") from None
 
 
 def _apply_config(subs: dict, path: str) -> None:
@@ -127,12 +132,14 @@ def _check_choices(sub: _Parser, args, path: str) -> None:
 def _cmd_run(args) -> int:
     from .sweep import TARGETS
 
-    target = TARGETS[args.target]
+    params_cls = PARAMS[args.target]
     given = {name: getattr(args, name) for name in _PARAM_KINDS if getattr(args, name) is not None}
     for name in given:
-        if name not in param_kinds(target.params_cls):
+        if name not in param_kinds(params_cls):
             raise ValueError(f"{name} is not a {args.target} parameter")
-    dist = target.run(target.params_cls(**{**target.defaults, **given}), args.seed)
+    if not (is_integer(args.seed) and args.seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {shown(args.seed)}")
+    dist = TARGETS[args.target].run_many([params_cls(**given)], [args.seed])[0]
     print(" ".join(f"{v:.17g}" for v in dist))
     print(f"entropy_bits = {shannon_entropy(dist):.17g}")
     return 0

@@ -1,8 +1,9 @@
 """The parameter sets of both simulated processes, with their validity rules.
 
 `PARAMS` maps each target name to its parameter class. The field names
-are the parameter names and their annotations the int/float kinds, so the
-CLI builds every flag from this table without loading a model.
+are the parameter names, their annotations the int/float kinds and their
+defaults the target's defaults, so the CLI builds every flag from this
+table without loading a model.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ class FilexParams:
     n_iters: number of update iterations N.
     """
 
-    alpha: float
-    beta: int
-    lexicon_size: int
-    n_iters: int
+    alpha: float = 1.0
+    beta: int = 8
+    lexicon_size: int = 64
+    n_iters: int = 1000
 
     def __post_init__(self):
         check_positive(self)
@@ -42,11 +43,11 @@ class ToyElsParams:
     estimate only, not the learning dynamics.
     """
 
-    time_steps: int
-    lexicon_size: int
-    learning_rate: float
-    buffer_size: int
-    temperature: float
+    time_steps: int = 200_000
+    lexicon_size: int = 64
+    learning_rate: float = 3e-3
+    buffer_size: int = 256
+    temperature: float = 1.5
     eval_samples: int = 10_000
 
     def __post_init__(self) -> None:

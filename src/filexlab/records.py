@@ -13,6 +13,7 @@ analysing records loads no simulation module.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -89,6 +90,9 @@ def read_records(csv_path) -> list[RunRecord]:
             record = RunRecord(target, param, float(value), int(seed), float(entropy))
         except ValueError as exc:
             raise ValueError(f"{csv_path}:{i}: {exc}") from None
+        for name, x in (("value", record.value), ("entropy", record.entropy)):
+            if not math.isfinite(x):
+                raise ValueError(f"{csv_path}:{i}: {name} must be finite, got {x!r}")
         out.append(record)
     return out
 

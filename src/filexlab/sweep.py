@@ -5,9 +5,9 @@ defaults for everything else. Each grid point runs once with a seed mixed
 from (base_seed, grid index), so results are reproducible and independent
 of execution order or worker count.
 
-TARGETS describes each simulated process once: its parameter class (whose
-fields give the parameter names and their int/float kinds), its runner,
-its defaults and its default sweep suite.
+TARGETS gives each simulated process its batch runner and its default
+sweep suite; its parameter class in `params.PARAMS` gives the parameter
+names, their int/float kinds and their defaults.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ import concurrent.futures
 import logging
 import math
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Generator
 
 import numpy as np
 
-from .filex import run as filex_run
+from .filex import run as filex_run  # noqa: F401  (unused; the benchmark tracer wraps this name)
 from .filex import run_many as filex_run_many
 from .params import PARAMS
 from .records import FILEX, TOY_ELS, RunRecord
@@ -92,7 +92,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
-        kinds = param_kinds(TARGETS[self.target].params_cls)
+        kinds = param_kinds(PARAMS[self.target])
         names = tuple(kinds)
         if self.swept_param not in names:
             raise ValueError(
@@ -119,7 +119,7 @@ class SweepSpec:
         for name in ("low", "high", "steps", "base_seed"):
             object.__setattr__(self, name, _python_scalar(getattr(self, name)))
         # parameters the spec leaves out run at the target's defaults
-        defaults = {**TARGETS[self.target].defaults, **self.defaults}
+        defaults = {**asdict(PARAMS[self.target]()), **self.defaults}
         object.__setattr__(self, "defaults", {k: _python_scalar(v) for k, v in defaults.items()})
 
     def grid(self) -> list[float]:
@@ -175,12 +175,12 @@ class _Points:
 
 
 def _points(spec: SweepSpec, repeats: int) -> _Points:
-    target = TARGETS[spec.target]
+    params_cls = PARAMS[spec.target]
     points = _Points(spec, [], [], [], [])
     for i, value in enumerate(spec.grid()):
         installed = int(value) if spec.integer_valued else value
         try:
-            params = target.params_cls(**{**spec.defaults, spec.swept_param: installed})
+            params = params_cls(**{**spec.defaults, spec.swept_param: installed})
         except ValueError as exc:
             points.skipped.append(SkippedPoint(index=i, value=value, reason=str(exc)))
             _LOG.warning(
@@ -268,20 +268,22 @@ def execute_sweep(spec: SweepSpec, workers: int = 1, repeats: int = 1) -> SweepO
 
 def _suite(target: str, rows, seed_offset: int, root_seed: int, steps: int,
            defaults: dict) -> list[SweepSpec]:
-    # one spec per (param, low, high, integer) row, seeded mix64(root_seed, seed_offset + k)
+    # one spec per (param, low, high) row, seeded mix64(root_seed, seed_offset + k)
+    kinds = param_kinds(PARAMS[target])
     return [
-        SweepSpec(target, name, low, high, steps, integer, defaults, mix64(root_seed, seed_offset + k))
-        for k, (name, low, high, integer) in enumerate(rows)
+        SweepSpec(target, name, low, high, steps, kinds[name] is int, defaults,
+                  mix64(root_seed, seed_offset + k))
+        for k, (name, low, high) in enumerate(rows)
     ]
 
 
 def default_filex_suite(root_seed: int = 0, steps: int = 1000) -> list[SweepSpec]:
     """The four urn-process sweeps: n_iters, lexicon_size, alpha, beta."""
     rows = [
-        ("n_iters", 1.0, 1e3, True),
-        ("lexicon_size", 8.0, 256.0, True),
-        ("alpha", 1e-3, 1e3, False),
-        ("beta", 1.0, 1e3, True),
+        ("n_iters", 1.0, 1e3),
+        ("lexicon_size", 8.0, 256.0),
+        ("alpha", 1e-3, 1e3),
+        ("beta", 1.0, 1e3),
     ]
     return _suite(FILEX, rows, 0, root_seed, steps, {})
 
@@ -295,54 +297,38 @@ def default_toy_els_suite(root_seed: int = 0, steps: int = 200) -> list[SweepSpe
     frequency-estimation noise at the stock precision.
     """
     rows = [
-        ("time_steps", 1e2, 1e6, True),
-        ("lexicon_size", 8.0, 256.0, True),
-        ("learning_rate", 1e-4, 1e-1, False),
-        ("buffer_size", 8.0, 1024.0, True),
-        ("temperature", 0.1, 10.0, False),
+        ("time_steps", 1e2, 1e6),
+        ("lexicon_size", 8.0, 256.0),
+        ("learning_rate", 1e-4, 1e-1),
+        ("buffer_size", 8.0, 1024.0),
+        ("temperature", 0.1, 10.0),
     ]
     return _suite(TOY_ELS, rows, 8, root_seed, steps, {"eval_samples": 100_000})
 
 
 @dataclass(frozen=True)
 class Target:
-    """One simulated process: parameter class, runners, defaults, default suite.
+    """One simulated process: its batch runner and its default suite.
 
-    run(params, seed) returns the process's output distribution;
-    run_many(params_list, seeds) returns run() of each pair, in input order;
-    suite(root_seed=..., steps=...) returns its default sweeps.
+    run_many(params_list, seeds) returns the output distribution of each
+    (params, seed) pair, in input order; suite(root_seed=..., steps=...)
+    returns its default sweeps.
     """
 
-    params_cls: type
-    run: Callable
     run_many: Callable
-    defaults: dict
     suite: Callable
 
 
-# The runners look filex_run, filex_run_many and toy_run up in this module
-# when called, so a caller that rebinds those names (a tracer, say) sees
-# every call. Pool workers receive the target's name and look it up here.
+# The runners look filex_run_many and toy_run up in this module when
+# called, so a caller that rebinds those names (a tracer, say) sees every
+# call. Pool workers receive the target's name and look it up here.
 TARGETS = {
     FILEX: Target(
-        params_cls=PARAMS[FILEX],
-        run=lambda params, seed: filex_run(params, seed),
         run_many=lambda params_list, seeds: filex_run_many(params_list, seeds),
-        defaults={"alpha": 1.0, "beta": 8, "lexicon_size": 64, "n_iters": 1000},
         suite=default_filex_suite,
     ),
     TOY_ELS: Target(
-        params_cls=PARAMS[TOY_ELS],
-        run=lambda params, seed: toy_run(params, seed),
         run_many=lambda params_list, seeds: [toy_run(p, s) for p, s in zip(params_list, seeds)],
-        defaults={
-            "time_steps": 200_000,
-            "lexicon_size": 64,
-            "learning_rate": 3e-3,
-            "buffer_size": 256,
-            "temperature": 1.5,
-            "eval_samples": 10_000,
-        },
         suite=default_toy_els_suite,
     ),
 }

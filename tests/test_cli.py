@@ -11,9 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from filexlab import filex
 from filexlab.cli import main
+from filexlab.params import FilexParams, ToyElsParams
 from filexlab.records import metadata_path, read_metadata, read_records, write_records
+from filexlab.stats import shannon_entropy
 from filexlab.sweep import FILEX, TOY_ELS, RunRecord
+from filexlab.toy_els import toy_run
 
 
 def synth_suite_files(tmp_path):
@@ -61,6 +65,33 @@ def test_run_is_byte_deterministic(capsys):
     first = capsys.readouterr().out
     main(["run", "--target", "toy_els", "--time-steps", "2048", "--eval-samples", "500"])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("flags, expected", [
+    (["--target", "filex"], lambda seed: filex.run(FilexParams(), seed)),
+    (["--target", "filex", "--beta", "3"], lambda seed: filex.run(FilexParams(beta=3), seed)),
+    (["--target", "toy_els"], lambda seed: toy_run(ToyElsParams(), seed)),
+    (["--target", "toy_els", "--temperature", "0.8"],
+     lambda seed: toy_run(ToyElsParams(temperature=0.8), seed)),
+], ids=["filex-defaults", "filex-beta", "toy-defaults", "toy-temperature"])
+def test_run_prints_the_reference_run(capsys, flags, expected):
+    # `run` goes through the target's run_many; it prints the digits of
+    # the one-run reference at the parameter class's defaults
+    assert main(["run", *flags, "--seed", "7"]) == 0
+    dist = expected(7)
+    text = " ".join(f"{v:.17g}" for v in dist) + f"\nentropy_bits = {shannon_entropy(dist):.17g}\n"
+    assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize("config, flags, shown", [
+    ("seed = true\n", [], "True"),
+    ("", ["--seed", "-1"], "-1"),
+], ids=["config-bool", "negative"])
+def test_run_rejects_a_seed_sweep_would_reject(tmp_path, capsys, config, flags, shown):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    assert main(["--config", str(cfg), "run", *flags]) == 1
+    assert capsys.readouterr().err == f"error: seed must be a non-negative integer, got {shown}\n"
 
 
 def test_run_rejects_foreign_parameter(capsys):
@@ -429,6 +460,22 @@ def test_config_and_flags_write_the_same_sidecar(tmp_path):
     assert '"low": 1.0,' in (tmp_path / "cfg" / "filex_beta.meta.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("line, command, message", [
+    ("seed = x", ["run"], "seed: invalid int value 'x'"),
+    ("low = abc", ["sweep", "--target", "filex", "--param", "alpha", "--high", "10",
+                   "--steps", "2"], "low: invalid float value 'abc'"),
+], ids=["int", "float"])
+def test_config_value_the_type_cannot_convert_names_the_file(tmp_path, capsys, monkeypatch,
+                                                             line, command, message):
+    # the error names the file and the key, with no usage line for a flag never typed
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    assert main(["--config", str(cfg), *command]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_config_flag_takes_true_or_false(tmp_path, capsys):
     cfg = tmp_path / "lab.cfg"
     cfg.write_text("integer = 0\n", encoding="utf-8")
@@ -442,10 +489,13 @@ def test_config_flag_takes_true_or_false(tmp_path, capsys):
 @pytest.mark.parametrize("command, field, message", [
     ("plot", "seed", "invalid literal for int() with base 10: 'abc'"),
     ("analyze", "entropy", "could not convert string to float: 'x'"),
+    ("plot", "value-nan", "value must be finite, got nan"),
+    ("analyze", "entropy-inf", "entropy must be finite, got -inf"),
 ])
 def test_unparsable_record_field_names_file_and_line(tmp_path, capsys, command, field, message):
     csv = tmp_path / "filex_alpha.csv"
-    row = {"seed": "filex,alpha,1.0,abc,2.0", "entropy": "filex,alpha,1.0,3,x"}[field]
+    row = {"seed": "filex,alpha,1.0,abc,2.0", "entropy": "filex,alpha,1.0,3,x",
+           "value-nan": "filex,alpha,nan,3,2.0", "entropy-inf": "filex,alpha,1.0,3,-inf"}[field]
     csv.write_text(f"target,param,value,seed,entropy\n{row}\n", encoding="utf-8")
     assert main([command, str(csv)]) == 1
     assert capsys.readouterr().err == f"error: {csv}:2: {message}\n"

@@ -157,9 +157,12 @@ def test_rejects_malformed_row(tmp_path):
     ("filex,alpha,1.0,abc,2.0", "invalid literal for int() with base 10: 'abc'"),
     ("filex,alpha,1.0,42,x", "could not convert string to float: 'x'"),
     ("filex,alpha,one,42,2.0", "could not convert string to float: 'one'"),
-], ids=["seed", "entropy", "value"])
+    ("filex,alpha,inf,42,2.0", "value must be finite, got inf"),
+    ("filex,alpha,1.0,42,nan", "entropy must be finite, got nan"),
+], ids=["seed", "entropy", "value", "value-inf", "entropy-nan"])
 def test_unparsable_field_names_file_and_line(tmp_path, row, message):
-    # the blank line still counts: the bad row is line 4 of the file
+    # the blank line still counts: the bad row is line 4 of the file. A sweep
+    # never writes a NaN or infinity, so one is a damaged file, named where it is
     path = tmp_path / "bad.csv"
     path.write_text(f"{CSV_HEADER}\nfilex,alpha,1.0,7,2.0\n\n{row}\n", encoding="utf-8")
     with pytest.raises(ValueError) as err:

@@ -2,6 +2,7 @@ import logging
 import math
 import multiprocessing
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filexlab.filex import FilexParams, run
+from filexlab.params import PARAMS
 from filexlab.records import metadata_path, write_records
 from filexlab.seeding import mix64
 from filexlab.stats import shannon_entropy
 from filexlab.sweep import (
     FILEX,
-    TARGETS,
     TOY_ELS,
     SweepSpec,
     default_filex_suite,
@@ -287,8 +288,8 @@ def test_execute_sweep_logs_skips(caplog):
 
 def test_partial_defaults_filled_from_target():
     spec = SweepSpec(TOY_ELS, "time_steps", 100, 2560, 3, True, {"lexicon_size": 8}, 0)
-    assert spec.defaults == {**TARGETS[TOY_ELS].defaults, "lexicon_size": 8}
-    assert list(spec.defaults) == list(TARGETS[TOY_ELS].defaults)
+    assert spec.defaults == {**asdict(PARAMS[TOY_ELS]()), "lexicon_size": 8}
+    assert list(spec.defaults) == list(asdict(PARAMS[TOY_ELS]()))
     outcome = execute_sweep(spec)
     assert [r.value for r in outcome.records] == spec.grid()[1:] == [505.0, 2560.0]
     assert [s.value for s in outcome.skipped] == [100.0]

@@ -3,6 +3,7 @@ enters: a bool, NaN, +-inf or a value <= 0 raises ValueError. The strong
 threshold of `analyze` is the one real that may also be 0."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 
 from filexlab.analysis import PAIRINGS, analyze_records
 from filexlab.filex import FilexParams
+from filexlab.params import PARAMS
 from filexlab.stats import binomial_sign_test, gaussian_smooth
-from filexlab.sweep import FILEX, TARGETS, TOY_ELS, RunRecord, SweepSpec, log_sweep
+from filexlab.sweep import FILEX, TOY_ELS, RunRecord, SweepSpec, log_sweep
 from filexlab.toy_els import ToyElsParams
 from filexlab.validation import is_integer, param_kinds, shown
 
@@ -44,7 +46,7 @@ def test_positive_parameters_reject_the_same_values(bad):
     for cls, target in ((FilexParams, FILEX), (ToyElsParams, TOY_ELS)):
         for name in param_kinds(cls):
             with pytest.raises(ValueError):
-                cls(**{**TARGETS[target].defaults, name: bad})
+                cls(**{**asdict(PARAMS[target]()), name: bad})
     for bound in ({"low": bad, "high": 10.0}, {"low": 1.0, "high": bad}):
         with pytest.raises(ValueError):
             SweepSpec(FILEX, "alpha", steps=3, integer_valued=False, defaults={}, base_seed=0,
@@ -77,7 +79,7 @@ def test_ints_beyond_double_range_are_not_reals(huge):
         for name, kind in param_kinds(cls).items():
             if kind is float:
                 with pytest.raises(ValueError, match=name):
-                    cls(**{**TARGETS[target].defaults, name: huge})
+                    cls(**{**asdict(PARAMS[target]()), name: huge})
     for low, high in ((huge, 10.0), (1.0, huge)):
         with pytest.raises(ValueError, match="bounds"):
             SweepSpec(FILEX, "alpha", low, high, steps=3, integer_valued=False, defaults={},

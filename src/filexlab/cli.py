@@ -8,6 +8,7 @@ command-line values override it.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from contextlib import closing
@@ -19,7 +20,7 @@ from .params import PARAMS
 from .records import FILEX, read_metadata, read_records, write_records
 from .stats import shannon_entropy
 from .svgplot import build_plot
-from .validation import is_integer, param_kinds, shown
+from .validation import param_kinds
 
 # analyze and plot never load the simulators: the parser is built from
 # `params`, and `sweep`, with the models, the process pool and logging, is
@@ -137,8 +138,6 @@ def _cmd_run(args) -> int:
     for name in given:
         if name not in param_kinds(params_cls):
             raise ValueError(f"{name} is not a {args.target} parameter")
-    if not (is_integer(args.seed) and args.seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {shown(args.seed)}")
     dist = TARGETS[args.target].run_many([params_cls(**given)], [args.seed])[0]
     print(" ".join(f"{v:.17g}" for v in dist))
     print(f"entropy_bits = {shannon_entropy(dist):.17g}")
@@ -240,6 +239,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # every object loaded at import lives until exit: frozen, it is skipped
+    # by the collections Python runs at exit. Not in main(), which one
+    # process may call many times.
+    gc.freeze()
     sys.exit(main())
 
 

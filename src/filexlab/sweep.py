@@ -28,7 +28,7 @@ from .records import FILEX, TOY_ELS, RunRecord
 from .seeding import mix64
 from .stats import shannon_entropy
 from .toy_els import toy_run
-from .validation import check_positive_int, is_integer, is_real, param_kinds, shown
+from .validation import check_positive_int, check_seed, is_real, param_kinds, shown
 
 _LOG = logging.getLogger(__name__)
 
@@ -112,10 +112,9 @@ class SweepSpec:
                 f"{self.swept_param} is an integer parameter: floor its grid"
                 " (integer_valued=True, --integer on the command line)"
             )
-        if not is_integer(self.base_seed):
-            raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
-        # numpy scalars are stored as Python numbers: mix64 and the JSON
-        # sidecar take only those
+        check_seed("base_seed", self.base_seed)
+        # numpy scalars are stored as Python numbers: the JSON sidecar
+        # takes only those
         for name in ("low", "high", "steps", "base_seed"):
             object.__setattr__(self, name, _python_scalar(getattr(self, name)))
         # parameters the spec leaves out run at the target's defaults
@@ -319,14 +318,12 @@ class Target:
     suite: Callable
 
 
-# The runners look filex_run_many and toy_run up in this module when
-# called, so a caller that rebinds those names (a tracer, say) sees every
-# call. Pool workers receive the target's name and look it up here.
+# The toy runner looks toy_run up in this module when called, so a caller
+# that rebinds that name (the benchmark tracer does) sees every run. No
+# caller wraps the FiLex batch runner, so its row holds it directly. Pool
+# workers receive the target's name and look it up here.
 TARGETS = {
-    FILEX: Target(
-        run_many=lambda params_list, seeds: filex_run_many(params_list, seeds),
-        suite=default_filex_suite,
-    ),
+    FILEX: Target(run_many=filex_run_many, suite=default_filex_suite),
     TOY_ELS: Target(
         run_many=lambda params_list, seeds: [toy_run(p, s) for p, s in zip(params_list, seeds)],
         suite=default_toy_els_suite,

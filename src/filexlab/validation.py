@@ -53,6 +53,15 @@ def check_positive_real(name: str, v) -> None:
         raise ValueError(f"{name} must be a positive finite real, got {shown(v)}")
 
 
+def check_seed(name: str, v) -> None:
+    """A seed is an integer in [0, 2**64): every seed mix64 derives, and so
+    every seed a record stores, lies in it."""
+    if not (is_integer(v) and v >= 0):
+        raise ValueError(f"{name} must be a non-negative integer, got {shown(v)}")
+    if int(v) >= 2**64:
+        raise ValueError(f"{name} must be below 2**64, got {shown(v)}")
+
+
 def check_positive(params) -> None:
     """Check every field of a params dataclass by the rule for its kind."""
     for name, kind in param_kinds(type(params)).items():

@@ -83,15 +83,27 @@ def test_run_prints_the_reference_run(capsys, flags, expected):
     assert capsys.readouterr().out == text
 
 
-@pytest.mark.parametrize("config, flags, shown", [
-    ("seed = true\n", [], "True"),
-    ("", ["--seed", "-1"], "-1"),
-], ids=["config-bool", "negative"])
-def test_run_rejects_a_seed_sweep_would_reject(tmp_path, capsys, config, flags, shown):
+_SWEEP_SUITE = ["sweep", "--target", "filex", "--steps", "2"]
+_SWEEP_PARAM = [*_SWEEP_SUITE, "--param", "alpha", "--low", "1", "--high", "2"]
+
+
+@pytest.mark.parametrize("config, flags, rule", [
+    ("seed = true\n", [], "must be a non-negative integer, got True"),
+    ("", ["--seed", "-1"], "must be a non-negative integer, got -1"),
+    ("", ["--seed", str(2**64)], f"must be below 2**64, got {2**64}"),
+], ids=["config-bool", "negative", "above-range"])
+def test_run_rejects_a_seed_sweep_would_reject(tmp_path, capsys, config, flags, rule):
+    # one rule for a seed wherever it enters: run's seed, and a sweep's root
+    # seed on both paths (a suite's mix64 base and a --param spec's base_seed)
     cfg = tmp_path / "lab.cfg"
     cfg.write_text(config, encoding="utf-8")
     assert main(["--config", str(cfg), "run", *flags]) == 1
-    assert capsys.readouterr().err == f"error: seed must be a non-negative integer, got {shown}\n"
+    assert capsys.readouterr().err == f"error: seed {rule}\n"
+    for i, sweep in enumerate((_SWEEP_SUITE, _SWEEP_PARAM)):
+        out = tmp_path / f"out{i}"
+        assert main(["--config", str(cfg), *sweep, *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: base_seed {rule}\n"
+        assert not list(out.glob("*.csv"))
 
 
 def test_run_rejects_foreign_parameter(capsys):

@@ -294,3 +294,24 @@ def test_eval_frequencies_are_distribution():
         assert np.all(out >= 0)
         assert out.sum() == pytest.approx(1.0, abs=1e-9)
         assert shannon_entropy(out) <= np.log2(32) + 1e-12
+
+
+@pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("delta", [0.5, 2.0])
+def test_update_two_word_one_message_law(temperature, delta):
+    # S = 2, B = 1: the gradient is (g, -g) and the RMS step is lr in each
+    # logit, so Delta = theta_0 - theta_1 moves by exactly +-2 lr. It moves
+    # up when softmax((theta + G) / T)_0 > softmax(theta)_0, i.e. when the
+    # standard logistic G_0 - G_1 exceeds Delta (T - 1): probability
+    # q = 1 / (1 + e^{Delta (T - 1)}). T < 1 is rich-get-richer, T > 1
+    # pulls Delta back to 0.
+    lr, n = 0.05, 4000
+    params = ToyElsParams(time_steps=1, lexicon_size=2, learning_rate=lr, buffer_size=1,
+                          temperature=temperature, eval_samples=1)
+    theta = np.array([delta / 2, -delta / 2])
+    rng = make_rng(int(1000 * temperature + 10 * delta))
+    moves = np.array([np.subtract(*toy_update(theta, params, rng)) - delta for _ in range(n)])
+    assert np.allclose(np.abs(moves), 2 * lr, rtol=0, atol=1e-12)
+    q = 1 / (1 + np.exp(delta * (temperature - 1)))
+    z = ((moves > 0).sum() - n * q) / np.sqrt(n * q * (1 - q))
+    assert abs(z) <= 4

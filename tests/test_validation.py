@@ -1,6 +1,7 @@
 """Every positive real parameter is checked the same way, wherever it
 enters: a bool, NaN, +-inf or a value <= 0 raises ValueError. The strong
-threshold of `analyze` is the one real that may also be 0."""
+threshold of `analyze` is the one real that may also be 0. A seed is an
+integer in [0, 2**64), checked by every function that consumes one."""
 
 import math
 from dataclasses import asdict
@@ -13,10 +14,11 @@ from hypothesis import strategies as st
 from filexlab.analysis import PAIRINGS, analyze_records
 from filexlab.filex import FilexParams
 from filexlab.params import PARAMS
+from filexlab.seeding import make_rng, mix64
 from filexlab.stats import binomial_sign_test, gaussian_smooth
-from filexlab.sweep import FILEX, TOY_ELS, RunRecord, SweepSpec, log_sweep
+from filexlab.sweep import FILEX, TOY_ELS, RunRecord, SweepSpec, default_filex_suite, log_sweep
 from filexlab.toy_els import ToyElsParams
-from filexlab.validation import is_integer, param_kinds, shown
+from filexlab.validation import check_seed, is_integer, param_kinds, shown
 
 _NOT_POSITIVE = st.one_of(
     st.sampled_from([True, False, np.True_, np.False_, math.nan, math.inf, -math.inf,
@@ -64,6 +66,40 @@ def test_positive_parameters_reject_the_same_values(bad):
 def test_numpy_integers_of_every_width_are_integers(v):
     assert is_integer(v)
     assert FilexParams(alpha=1.0, beta=v, lexicon_size=v, n_iters=v).beta == 3
+
+
+_TOP_SEED = 2**64 - 1
+
+
+@pytest.mark.parametrize("v", [0, _TOP_SEED, np.uint64(_TOP_SEED)], ids=repr)
+def test_a_seed_is_any_64_bit_integer(v):
+    check_seed("seed", v)
+    make_rng(v)
+    assert mix64(v, 0) == mix64(int(v), 0)
+
+
+@pytest.mark.parametrize("v, rule", [
+    (-1, "must be a non-negative integer, got -1"),
+    (2**64, f"must be below 2**64, got {2**64}"),
+    (True, "must be a non-negative integer, got True"),
+    (1.0, "must be a non-negative integer, got 1.0"),
+    ("1", "must be a non-negative integer, got '1'"),
+], ids=repr)
+def test_check_seed_rejects_what_is_not_a_64_bit_integer(v, rule):
+    with pytest.raises(ValueError) as info:
+        check_seed("seed", v)
+    assert str(info.value) == f"seed {rule}"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SweepSpec(FILEX, "alpha", 1.0, 2.0, 3, False, {}, base_seed=-1),
+    lambda: default_filex_suite(root_seed=2**64),
+    lambda: mix64(-1, 0),
+    lambda: make_rng(True),
+], ids=["spec", "suite", "mix64", "make_rng"])
+def test_every_seed_consumer_checks_the_seed_rule(call):
+    with pytest.raises(ValueError, match="seed must be"):
+        call()
 
 
 # float(v) overflows for every int of at least 2**1024 in magnitude
@@ -121,7 +157,8 @@ def test_shown_is_repr_or_the_size_of_an_unprintable_int():
      "successes must be in [0, 3], got an int of 16610 bits"),
     (lambda: analyze_records(_RECORDS, strong_threshold=-_UNPRINTABLE),
      "strong_threshold must be a finite real >= 0, got a negative int of 16610 bits"),
-], ids=["real", "int", "bounds", "log_sweep_n", "integer_valued", "sign_test", "threshold"])
+    (lambda: check_seed("seed", _UNPRINTABLE), "seed must be below 2**64, got an int of 16610 bits"),
+], ids=["real", "int", "bounds", "log_sweep_n", "integer_valued", "sign_test", "threshold", "seed"])
 def test_messages_name_an_unprintable_int_by_size(call, message):
     # the message is the rule's own, not Python's "Exceeds the limit" error
     with pytest.raises(ValueError) as info:

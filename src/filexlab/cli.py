@@ -24,7 +24,9 @@ from .validation import param_kinds
 
 # analyze and plot never load the simulators: the parser is built from
 # `params`, and `sweep`, with the models, the process pool and logging, is
-# imported only by the run and sweep commands
+# imported only by the run and sweep commands. numpy loads with the first
+# function that computes arrays (plot's smoother, the simulators), inside
+# main(), so importing this module, --help and analyze load none of it
 
 
 def __getattr__(name: str):
@@ -240,10 +242,13 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     # every object loaded at import lives until exit: frozen, it is skipped
-    # by the collections Python runs at exit. Not in main(), which one
-    # process may call many times.
+    # by the collections main() and the exit run. Frozen again after main(),
+    # so are the modules the command loaded itself (numpy for plot, run and
+    # sweep). Not in main(), which one process may call many times.
     gc.freeze()
-    sys.exit(main())
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

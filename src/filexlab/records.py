@@ -18,6 +18,8 @@ import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from .validation import check_seed
+
 FILEX = "filex"
 TOY_ELS = "toy_els"
 
@@ -88,6 +90,7 @@ def read_records(csv_path) -> list[RunRecord]:
         target, param, value, seed, entropy = parts
         try:
             record = RunRecord(target, param, float(value), int(seed), float(entropy))
+            check_seed("seed", record.seed)
         except ValueError as exc:
             raise ValueError(f"{csv_path}:{i}: {exc}") from None
         for name, x in (("value", record.value), ("entropy", record.entropy)):

@@ -8,17 +8,25 @@ takes one of four routes, picked by sample size and ties:
   the integer inversion counts of a random (multiset) permutation;
 - n <= 8 with both margins tied: exact enumeration of all n! permutations;
 - 9 <= n <= 50 with both margins tied: seeded Monte-Carlo permutations.
+
+Ranks, ties and inversions are counted in Python ints. numpy is imported
+only where arrays are computed: entropy, smoothing and the last two
+routes. So importing this module loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .validation import check_positive_int, check_positive_real, is_integer, shown
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SIGN_TOLERANCE = 1e-12
 
@@ -62,6 +70,8 @@ def shannon_entropy(p) -> float:
     `p` must be a probability vector: non-negative entries summing to 1
     within 1e-9.
     """
+    import numpy as np
+
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or len(p) == 0:
         raise ValueError("p must be a non-empty 1-d vector")
@@ -74,34 +84,56 @@ def shannon_entropy(p) -> float:
     return max(0.0, float(-(nz * np.log2(nz)).sum()))
 
 
-def _finite_points(points, n_min: int) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < n_min:
-        raise ValueError(f"points must be an (n, 2) collection with n >= {n_min}")
-    if not np.all(np.isfinite(pts)):
+def _finite_points(points, n_min: int) -> array:
+    """The points as one array of doubles: x0, y0, x1, y1, ...
+
+    `points` is a collection of n >= n_min rows (x, y), a numpy (n, 2)
+    array included. float() converts each value, number or numeric
+    string, as numpy's float64 conversion does, and every one must be
+    finite; an int beyond the double range is not.
+    """
+    shape = f"points must be an (n, 2) collection with n >= {n_min}"
+    if getattr(points, "ndim", 2) != 2:
+        raise ValueError(shape)
+    flat = array("d")
+    try:
+        for row in points:
+            if isinstance(row, (str, bytes)) or len(row) != 2:
+                raise ValueError(shape)
+            x, y = row
+            flat.append(float(x))
+            flat.append(float(y))
+    except TypeError:  # not a collection of rows, or a value float() does not take
+        raise ValueError(shape) from None
+    except OverflowError:
+        raise ValueError("points must be finite") from None
+    if len(flat) < 2 * n_min:
+        raise ValueError(shape)
+    if not all(map(math.isfinite, flat)):
         raise ValueError("points must be finite")
-    return pts
+    return flat
 
 
-def _dense_ranks(values: np.ndarray) -> np.ndarray:
+def _dense_ranks(values) -> list[int]:
     """0-based ranks of the distinct values, tied values sharing one.
 
     They keep every order and tie of the values, so every count that
     Kendall tau needs comes from them in integers.
     """
-    return np.unique(values, return_inverse=True)[1]
+    rank = {v: i for i, v in enumerate(sorted(set(values)))}
+    return [rank[v] for v in values]
 
 
-def _tied_pairs(group_sizes: np.ndarray) -> int:
-    return int((group_sizes * (group_sizes - 1) // 2).sum())
+def _tied_pairs(group_sizes) -> int:
+    return sum(g * (g - 1) // 2 for g in group_sizes)
 
 
-def _inversions(ranks: np.ndarray, size: int) -> int:
+def _inversions(ranks: list[int], size: int) -> int:
     """Pairs i < j with ranks[i] > ranks[j], for ranks in range(size), by a
     Fenwick tree of how often each rank came earlier. O(n log size)."""
     tree = [0] * (size + 1)
     inversions = 0
-    for seen, rank in enumerate(ranks.tolist()):
+    for seen, rank in enumerate(ranks):
         inversions += seen  # every earlier rank, less those at or below this one
         i = rank + 1
         while i:
@@ -114,22 +146,26 @@ def _inversions(ranks: np.ndarray, size: int) -> int:
     return inversions
 
 
-def _concordant_minus_discordant(xr: np.ndarray, yr: np.ndarray, xtie: int, ytie: int) -> int:
+def _concordant_minus_discordant(xr: list[int], yr: list[int], xtie: int, ytie: int) -> int:
     """C - D from the dense ranks and the x- and y-tied pair counts.
 
     C + D counts the pairs tied in neither margin. Sorted x-major, ties
     broken by y, the discordant pairs are exactly the inversions of y.
     """
-    n, base = len(xr), int(yr.max()) + 1
-    keys = np.sort(xr * base + yr)
-    both = _tied_pairs(np.unique(keys, return_counts=True)[1])
-    return n * (n - 1) // 2 - xtie - ytie + both - 2 * _inversions(keys % base, base)
+    n, base = len(xr), max(yr) + 1
+    keys = [a * base + b for a, b in zip(xr, yr)]
+    keys.sort()
+    both = _tied_pairs(Counter(keys).values())
+    return n * (n - 1) // 2 - xtie - ytie + both - 2 * _inversions([k % base for k in keys], base)
 
 
-def _x_ordered_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _x_ordered_pairs(x) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) index arrays over the upper-triangle pairs with distinct x,
     each oriented so that x[lo] < x[hi]; x-tied pairs add 0 to C - D and
     are left out."""
+    import numpy as np
+
+    x = np.asarray(x)
     i, j = np.triu_indices(len(x), 1)
     up, down = x[j] > x[i], x[j] < x[i]
     return np.concatenate((i[up], j[down])), np.concatenate((j[up], i[down]))
@@ -146,6 +182,8 @@ def _signed_pair_sums(pairs: tuple[np.ndarray, np.ndarray], yranks: np.ndarray) 
     for 2,000 rows at n = 50; |C - D| <= 1225 there, so the int16 sums are
     exact.
     """
+    import numpy as np
+
     lo, hi = pairs
     t = np.ascontiguousarray(yranks.T, dtype=np.int8)
     d = t[hi] - t[lo]
@@ -155,6 +193,8 @@ def _signed_pair_sums(pairs: tuple[np.ndarray, np.ndarray], yranks: np.ndarray) 
 
 def _all_permutations(n: int) -> np.ndarray:
     """Every permutation of range(n), one per row (n! rows), as int8."""
+    import numpy as np
+
     perms = np.zeros((1, 0), dtype=np.int8)
     for k in range(n):
         # put the new element k at every position of each permutation of range(k)
@@ -202,13 +242,17 @@ def _p_inversions(n: int, groups, observed_cmd: int) -> float:
     return hits / sum(counts)
 
 
-def _p_enumerate(pairs, yranks: np.ndarray, observed_cmd: int) -> float:
+def _p_enumerate(pairs, yranks: list[int], observed_cmd: int) -> float:
     # all n! assignments of y to x are equally likely under the null
-    cmd = _signed_pair_sums(pairs, yranks[_all_permutations(len(yranks))])
+    import numpy as np
+
+    cmd = _signed_pair_sums(pairs, np.array(yranks)[_all_permutations(len(yranks))])
     return float(np.mean(np.abs(cmd) >= abs(observed_cmd)))
 
 
-def _p_montecarlo(pairs, yranks: np.ndarray, observed_cmd: int) -> float:
+def _p_montecarlo(pairs, yranks: list[int], observed_cmd: int) -> float:
+    import numpy as np
+
     rng = np.random.default_rng(_MC_SEED)
     hits = 0
     chunk = 2_000
@@ -222,15 +266,15 @@ def _p_montecarlo(pairs, yranks: np.ndarray, observed_cmd: int) -> float:
     return (hits + 1) / (_MC_PERMUTATIONS + 1)
 
 
-def _p_normal(n: int, xcounts: np.ndarray, ycounts: np.ndarray, observed_cmd: int) -> float:
+def _p_normal(n: int, xcounts, ycounts, observed_cmd: int) -> float:
     # tie-corrected variance of C - D under the null of independence, from
-    # each margin's tie group sizes
+    # each margin's tie group sizes; the sums are exact ints, equal to
+    # float sums of the same terms while those stay below 2**53
     def tie_sums(counts):
-        t = counts[counts > 1].astype(np.float64)
         return (
-            float((t * (t - 1) / 2).sum()),
-            float((t * (t - 1) * (t - 2)).sum()),
-            float((t * (t - 1) * (2 * t + 5)).sum()),
+            sum(t * (t - 1) // 2 for t in counts),
+            sum(t * (t - 1) * (t - 2) for t in counts),
+            sum(t * (t - 1) * (2 * t + 5) for t in counts),
         )
 
     xtie, x3, xv = tie_sums(xcounts)
@@ -250,11 +294,12 @@ def kendall_tau(points) -> CorrelationSummary:
 
     Raises UndefinedCorrelationError when all x or all y are tied.
     """
-    x, y = _finite_points(points, 2).T
+    flat = _finite_points(points, 2)
+    x, y = flat[0::2], flat[1::2]
     n = len(x)
 
     xr, yr = _dense_ranks(x), _dense_ranks(y)
-    xcounts, ycounts = np.bincount(xr), np.bincount(yr)
+    xcounts, ycounts = Counter(xr).values(), Counter(yr).values()
     xtie, ytie = _tied_pairs(xcounts), _tied_pairs(ycounts)
     tot = n * (n - 1) // 2
     if xtie == tot:
@@ -305,7 +350,10 @@ def gaussian_smooth(points, bandwidth: float | None = None, grid_size: int = 200
     so small that every squared distance of a grid row overflows, all its
     log-weights are -inf.
     """
-    x, y = _finite_points(points, 1).T
+    import numpy as np
+
+    # x and y are strided views of one (n, 2) array, the layout the output bits are pinned in
+    x, y = np.array(_finite_points(points, 1)).reshape(-1, 2).T
     if np.any(x <= 0):
         raise ValueError("all x values must be positive")
     check_positive_int("grid_size", grid_size)

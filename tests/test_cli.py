@@ -503,11 +503,17 @@ def test_config_flag_takes_true_or_false(tmp_path, capsys):
     ("analyze", "entropy", "could not convert string to float: 'x'"),
     ("plot", "value-nan", "value must be finite, got nan"),
     ("analyze", "entropy-inf", "entropy must be finite, got -inf"),
+    ("plot", "seed-negative", "seed must be a non-negative integer, got -6"),
+    ("analyze", "seed-negative", "seed must be a non-negative integer, got -6"),
+    ("plot", "seed-2**70", f"seed must be below 2**64, got {2**70}"),
+    ("analyze", "seed-2**70", f"seed must be below 2**64, got {2**70}"),
 ])
 def test_unparsable_record_field_names_file_and_line(tmp_path, capsys, command, field, message):
     csv = tmp_path / "filex_alpha.csv"
     row = {"seed": "filex,alpha,1.0,abc,2.0", "entropy": "filex,alpha,1.0,3,x",
-           "value-nan": "filex,alpha,nan,3,2.0", "entropy-inf": "filex,alpha,1.0,3,-inf"}[field]
+           "value-nan": "filex,alpha,nan,3,2.0", "entropy-inf": "filex,alpha,1.0,3,-inf",
+           "seed-negative": "filex,alpha,1.0,-6,2.0",
+           "seed-2**70": f"filex,alpha,1.0,{2**70},2.0"}[field]
     csv.write_text(f"target,param,value,seed,entropy\n{row}\n", encoding="utf-8")
     assert main([command, str(csv)]) == 1
     assert capsys.readouterr().err == f"error: {csv}:2: {message}\n"

@@ -11,9 +11,15 @@ plot records (`records`, `analysis`, `svgplot`, `stats`, `validation`,
 simulators, the process pool or logging: `cli` builds its one parser from
 `params.PARAMS`, imports `sweep` only for `run` and `sweep`, and resolves
 the `cli.execute_sweep` name the benchmark tracer wraps on first access.
-Importing the CLI does not pull in the network stack, fractions, decimal,
-scipy, html.entities or the process-pool machinery, and only a sweep with
-more than one worker loads the latter.
+numpy loads only with the first function that computes arrays: importing
+the CLI, `--help` and a usage or config error load none, nor does
+`analyze` (Kendall tau in Python ints) on the benchmark's sweeps, while
+`plot` and `run` do; `analyze` loads it only for a pairing with both
+margins tied at n <= 50, whose permutation routes compute arrays.
+Importing the CLI does
+not pull in the network stack, fractions, decimal, scipy, html.entities or
+the process-pool machinery, and only a sweep with more than one worker
+loads the latter.
 """
 
 import ast
@@ -204,16 +210,22 @@ print([m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.
     assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
+def write_pairing_sweeps(out: Path) -> None:
+    """One small CSV for each of the nine sweeps PAIRINGS compares, and the
+    config files ok.cfg and bad.cfg (an unknown key)."""
+    sweeps = {(FILEX, f) for _, f, _ in PAIRINGS} | {(TOY_ELS, t) for *_, t in PAIRINGS}
+    for target, param in sweeps:
+        rows = [RunRecord(target, param, float(2**i), i, float(i % 3)) for i in range(6)]
+        write_records(out / f"{target}_{param}.csv", rows)
+    (out / "ok.cfg").write_text("alpha = 2\n", encoding="utf-8")
+    (out / "bad.cfg").write_text("bogus = 2\n", encoding="utf-8")
+
+
 def test_analyze_and_plot_never_load_the_simulators(tmp_path):
     # the checks run in order in one fresh process: the simulators stay out
     # through import, analyze, plot, --help and a config file in any
     # spelling, then run and sweep load them and work as before
-    sweeps = {(FILEX, f) for _, f, _ in PAIRINGS} | {(TOY_ELS, t) for *_, t in PAIRINGS}
-    for target, param in sweeps:
-        rows = [RunRecord(target, param, float(2**i), i, float(i % 3)) for i in range(6)]
-        write_records(tmp_path / f"{target}_{param}.csv", rows)
-    (tmp_path / "ok.cfg").write_text("alpha = 2\n", encoding="utf-8")
-    (tmp_path / "bad.cfg").write_text("bogus = 2\n", encoding="utf-8")
+    write_pairing_sweeps(tmp_path)
     code = f"""
 import contextlib, io, pathlib, sys
 sys.path.insert(0, {str(PACKAGE.parent)!r})
@@ -256,3 +268,40 @@ print(cli.execute_sweep is sweep.execute_sweep, hasattr(cli, "no_such_name"))
         "True False",
     ]
     assert (tmp_path / "sweep" / "filex_beta.csv").exists()
+
+
+def test_only_commands_that_compute_arrays_load_numpy(tmp_path):
+    # one fresh process, checks in order: importing the CLI, --help, a usage
+    # error, a bad config file and analyze over the nine compared sweeps
+    # (Kendall in Python ints) load no numpy; plot's smoother loads it, and
+    # run loads it in a process that had not
+    write_pairing_sweeps(tmp_path)
+    code = f"""
+import contextlib, io, pathlib, sys
+sys.path.insert(0, {str(PACKAGE.parent)!r})
+out = {str(tmp_path)!r}
+csvs = sorted(str(p) for p in pathlib.Path(out).glob("*.csv"))
+from filexlab import cli
+steps = [("import", lambda: 0),
+         ("--help", lambda: cli.main(["--help"])),
+         ("usage", lambda: cli.main(["bogus"])),
+         ("config", lambda: cli.main(["--config", out + "/bad.cfg", "analyze", *csvs])),
+         ("analyze", lambda: cli.main(["analyze", *csvs])),
+         ("plot", lambda: cli.main(["plot", csvs[0], "--out", out + "/p.svg"]))]
+for name, step in steps:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = step()
+        except SystemExit as exc:
+            code = exc.code
+    print(name, code, "numpy" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "import 0 False", "--help 0 False", "usage 1 False", "config 1 False",
+        "analyze 0 False", "plot 0 True",
+    ]
+    run = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); from filexlab import cli; "
+           "code = cli.main(['run', '--n-iters', '5']); print(code, 'numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", run], capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 True"

@@ -159,10 +159,13 @@ def test_rejects_malformed_row(tmp_path):
     ("filex,alpha,one,42,2.0", "could not convert string to float: 'one'"),
     ("filex,alpha,inf,42,2.0", "value must be finite, got inf"),
     ("filex,alpha,1.0,42,nan", "entropy must be finite, got nan"),
-], ids=["seed", "entropy", "value", "value-inf", "entropy-nan"])
+    ("filex,alpha,1.0,-6,2.0", "seed must be a non-negative integer, got -6"),
+    (f"filex,alpha,1.0,{2**70},2.0", f"seed must be below 2**64, got {2**70}"),
+], ids=["seed", "entropy", "value", "value-inf", "entropy-nan", "seed-negative", "seed-2**70"])
 def test_unparsable_field_names_file_and_line(tmp_path, row, message):
     # the blank line still counts: the bad row is line 4 of the file. A sweep
-    # never writes a NaN or infinity, so one is a damaged file, named where it is
+    # never writes a NaN, an infinity or a seed outside [0, 2**64), so one is
+    # a damaged file, named where it is
     path = tmp_path / "bad.csv"
     path.write_text(f"{CSV_HEADER}\nfilex,alpha,1.0,7,2.0\n\n{row}\n", encoding="utf-8")
     with pytest.raises(ValueError) as err:

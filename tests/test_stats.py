@@ -228,7 +228,7 @@ def test_pair_sum_kernel_property_matches_oracle(pts, seed):
     x, y = (np.array(v, dtype=np.float64) for v in zip(*pts))
     rng = np.random.default_rng(seed)
     perms = np.array([rng.permutation(len(y)) for _ in range(4)])
-    cmd = stats._signed_pair_sums(stats._x_ordered_pairs(x), stats._dense_ranks(y)[perms])
+    cmd = stats._signed_pair_sums(stats._x_ordered_pairs(x), np.array(stats._dense_ranks(y))[perms])
     assert [int(c) for c in cmd] == [pair_sum_oracle(x, y[perm]) for perm in perms]
 
 
@@ -280,6 +280,116 @@ def test_tau_summary_type():
     assert isinstance(s, CorrelationSummary)
     assert -1.0 <= s.tau <= 1.0
     assert 0.0 <= s.p_value <= 1.0
+
+
+_KENDALL_MARGINS = ("none", "x", "y", "both")
+
+
+def _kendall_bits_points(n, margins):
+    # normal values, negative and fractional; a tied margin replaces its
+    # values by their rank groups of isqrt(n) (at least 2), scaled to quarters
+    rng = np.random.default_rng(1000 * n + _KENDALL_MARGINS.index(margins))
+    x = rng.normal(0.0, 3.0, n)
+    y = 0.3 * x + rng.normal(0.0, 3.0, n)
+    g = max(2, math.isqrt(n))
+
+    def tie(v):
+        return (np.argsort(np.argsort(v)) // g - n // (2 * g)) / 4.0
+
+    if margins in ("x", "both"):
+        x = tie(x)
+    if margins in ("y", "both"):
+        y = tie(y)
+    return np.column_stack([x, y])
+
+
+# (n, tied margins, float.hex of tau, float.hex of p): bit-exact values that
+# change only with a p-value re-baseline. Every route is covered: exact
+# inversions (n <= 50, at most one margin tied), enumeration (both tied,
+# n <= 8), Monte Carlo (both tied, 9 <= n <= 50) and the normal
+# approximation (n > 50), whose tie sums are exact ints.
+_KENDALL_BITS = [
+    (2, 'none', '-0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+    (3, 'none', '0x1.5555555555555p-2', '0x1.0000000000000p+0'),
+    (3, 'x', '0x0.0p+0', '0x1.0000000000000p+0'),
+    (3, 'y', '0x1.a20bd700c2c3fp-1', '0x1.5555555555555p-1'),
+    (3, 'both', '-0x1.0000000000000p-1', '0x1.0000000000000p+0'),
+    (5, 'none', '-0x1.999999999999ap-3', '0x1.a222222222222p-1'),
+    (5, 'x', '-0x1.c9f25c5bfedd9p-3', '0x1.999999999999ap-1'),
+    (5, 'y', '0x1.c9f25c5bfedd9p-2', '0x1.ddddddddddddep-2'),
+    (5, 'both', '0x0.0p+0', '0x1.0000000000000p+0'),
+    (8, 'none', '0x1.2492492492492p-1', '0x1.f3cf3cf3cf3cfp-5'),
+    (8, 'x', '0x1.3c03650e00e03p-1', '0x1.ad1ad1ad1ad1bp-5'),
+    (8, 'y', '0x1.da05179501504p-3', '0x1.12b12b12b12b1p-1'),
+    (8, 'both', '0x1.5555555555555p-1', '0x1.3813813813814p-5'),
+    (9, 'none', '0x1.8e38e38e38e39p-2', '0x1.71029e62c9badp-3'),
+    (9, 'x', '-0x1.aafb8b9d049d3p-2', '0x1.83a83a83a83a8p-3'),
+    (9, 'y', '0x1.8a2345cc04426p-4', '0x1.a972972972973p-1'),
+    (9, 'both', '0x1.8e38e38e38e39p-1', '0x1.743da24a21b9ap-6'),
+    (20, 'none', '0x1.840ac7691840bp-4', '0x1.2bf5a3631fa4ap-1'),
+    (20, 'x', '0x1.3d24f1887969ep-2', '0x1.4020033092197p-4'),
+    (20, 'y', '0x0.0p+0', '0x1.0000000000000p+0'),
+    (20, 'both', '0x1.d99999999999ap-2', '0x1.628bd4b748af7p-7'),
+    (50, 'none', '0x1.311c3655ae7f8p-2', '0x1.0e3ab679c2013p-9'),
+    (50, 'x', '0x1.bd8bc5cb07902p-3', '0x1.1c574dd496867p-5'),
+    (50, 'y', '0x1.c11c40351a0e4p-3', '0x1.106d42780d6f6p-5'),
+    (50, 'both', '0x1.cf8e02d9875cap-4', '0x1.33a32265fbf88p-2'),
+    (51, 'none', '0x1.eb851eb851eb8p-4', '0x1.b63aa35151cfap-3'),
+    (51, 'x', '0x1.0566351262bd2p-3', '0x1.ac85a0b985c6cp-3'),
+    (51, 'y', '0x1.40579b6455ddbp-2', '0x1.118414800c5c3p-9'),
+    (51, 'both', '0x1.6b7159454801dp-3', '0x1.8ecaf5aca2716p-4'),
+    (137, 'none', '0x1.7affab9528c7ap-4', '0x1.bd44b3b7f98ecp-4'),
+    (137, 'x', '0x1.88f3ffd269331p-3', '0x1.55657b1752924p-10'),
+    (137, 'y', '0x1.1492c253df013p-2', '0x1.92d1b238966dbp-18'),
+    (137, 'both', '0x1.1cf529bfb0693p-3', '0x1.8c709d08f5c4cp-6'),
+    (2000, 'none', '0x1.7b0d9ac065b28p-3', '0x1.05185be9f6bddp-115'),
+    (2000, 'x', '0x1.9eafaa2032206p-3', '0x1.caddac5378ff6p-135'),
+    (2000, 'y', '0x1.7d4b782cc9528p-3', '0x1.0c0e9633a4516p-114'),
+    (2000, 'both', '0x1.60c21ad482694p-3', '0x1.00e0a92c68b54p-96'),
+]
+
+
+@pytest.mark.parametrize("n, margins, tau, p", _KENDALL_BITS,
+                         ids=[f"n{n}-{m}" for n, m, *_ in _KENDALL_BITS])
+def test_tau_bits_pinned(n, margins, tau, p):
+    pts = _kendall_bits_points(n, margins)
+    for form in (pts, [tuple(map(float, row)) for row in pts]):
+        s = kendall_tau(form)
+        assert (s.tau.hex(), s.p_value.hex()) == (tau, p)
+
+
+# the messages of the point validation kendall_tau and gaussian_smooth share
+_BAD_POINTS = [
+    ([(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)], "points must be an (n, 2) collection with n >= {}"),
+    ([1.0, 2.0, 3.0], "points must be an (n, 2) collection with n >= {}"),
+    (np.zeros((3, 2, 1)), "points must be an (n, 2) collection with n >= {}"),
+    ([(1.0, float("nan")), (2.0, 3.0)], "points must be finite"),
+    ([(1.0, 2.0), (float("inf"), 3.0)], "points must be finite"),
+    ([(1.0, 2.0), (-float("inf"), 3.0)], "points must be finite"),
+    ([(1.0, "abc"), (2.0, 3.0)], "could not convert string to float: 'abc'"),
+]
+
+
+@pytest.mark.parametrize("fn, n_min", [(kendall_tau, 2), (gaussian_smooth, 1)],
+                         ids=["kendall_tau", "gaussian_smooth"])
+def test_point_validation_messages(fn, n_min):
+    too_few = [(1.0, 2.0)] * (n_min - 1)
+    for points, message in [(too_few, _BAD_POINTS[0][1]), *_BAD_POINTS]:
+        with pytest.raises(ValueError) as info:
+            fn(points)
+        assert str(info.value) == message.format(n_min)
+
+
+def test_point_validation_accepts_numpy_scalars_arrays_and_numeric_strings():
+    mixed = [(np.float32(1.5), np.int64(2)), (np.float64(2.0), np.uint8(1)), ("3", 7)]
+    same = [(1.5, 2.0), (2.0, 1.0), (3.0, 7.0)]
+    assert kendall_tau(mixed) == kendall_tau(same) == kendall_tau(np.array(same))
+    assert kendall_tau(same) == CorrelationSummary(tau=1 / 3, p_value=1.0, n=3, sign="positive")
+    for points in (mixed, np.array(same)):
+        curve, expected = gaussian_smooth(points), gaussian_smooth(same)
+        assert np.array_equal(curve.xs, expected.xs) and np.array_equal(curve.ys, expected.ys)
+    single = gaussian_smooth(np.array([(4.0, 1.25)]))
+    assert list(single.xs) == [4.0] and list(single.ys) == [1.25]
 
 
 # ---------------------------------------------------------------- binomial test

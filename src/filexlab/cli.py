@@ -71,7 +71,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_sweep.add_argument("--param", default=None, help="sweep one parameter instead of a suite")
     p_sweep.add_argument("--low", type=float, default=None)
     p_sweep.add_argument("--high", type=float, default=None)
-    p_sweep.add_argument("--integer", action="store_true", help="floor grid values")
+    p_sweep.add_argument("--integer", action="store_true",
+                         help="floor a float parameter's grid; an int parameter's is always floored")
 
     p_an = subs["analyze"] = sub.add_parser("analyze", help="correlations and sign matches")
     p_an.add_argument("records", nargs="+", help="record CSV files from sweep")

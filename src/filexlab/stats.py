@@ -1,17 +1,17 @@
 """Statistics toolkit: entropy, Kendall tau-b, sign test, kernel smoothing.
 
 Everything here is a pure function of its inputs. The Kendall p-value
-takes one of four routes, picked by sample size and ties:
+takes one of three routes, picked by sample size and ties:
 
 - n > 50: the tie-corrected normal approximation;
 - n <= 50 with at most one margin tied: the exact permutation null, from
   the integer inversion counts of a random (multiset) permutation;
-- n <= 8 with both margins tied: exact enumeration of all n! permutations;
-- 9 <= n <= 50 with both margins tied: seeded Monte-Carlo permutations.
+- n <= 50 with both margins tied: all n! permutations while n <= 8,
+  otherwise seeded Monte-Carlo permutations.
 
 Ranks, ties and inversions are counted in Python ints. numpy is imported
-only where arrays are computed: entropy, smoothing and the last two
-routes. So importing this module loads no numpy.
+only where arrays are computed: entropy, smoothing and the last route.
+So importing this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -242,28 +242,26 @@ def _p_inversions(n: int, groups, observed_cmd: int) -> float:
     return hits / sum(counts)
 
 
-def _p_enumerate(pairs, yranks: list[int], observed_cmd: int) -> float:
-    # all n! assignments of y to x are equally likely under the null
+def _p_permutations(xr: list[int], yr: list[int], observed_cmd: int) -> float:
+    # under the null all n! assignments of y to x are equally likely: they are
+    # enumerated while n! <= _MC_PERMUTATIONS (n <= 8); otherwise that many are
+    # drawn with a fixed seed, and the observed order counts once
     import numpy as np
 
-    cmd = _signed_pair_sums(pairs, np.array(yranks)[_all_permutations(len(yranks))])
-    return float(np.mean(np.abs(cmd) >= abs(observed_cmd)))
+    pairs = _x_ordered_pairs(xr)
 
+    def hits(yp: np.ndarray) -> int:
+        return int(np.count_nonzero(np.abs(_signed_pair_sums(pairs, yp)) >= abs(observed_cmd)))
 
-def _p_montecarlo(pairs, yranks: list[int], observed_cmd: int) -> float:
-    import numpy as np
-
+    n_perms = math.factorial(len(yr))
+    if n_perms <= _MC_PERMUTATIONS:
+        return hits(np.array(yr)[_all_permutations(len(yr))]) / n_perms
     rng = np.random.default_rng(_MC_SEED)
-    hits = 0
-    chunk = 2_000
-    done = 0
-    while done < _MC_PERMUTATIONS:
-        rows = min(chunk, _MC_PERMUTATIONS - done)
-        yp = rng.permuted(np.tile(yranks, (rows, 1)), axis=1)
-        cmd = _signed_pair_sums(pairs, yp)
-        hits += int(np.count_nonzero(np.abs(cmd) >= abs(observed_cmd)))
-        done += rows
-    return (hits + 1) / (_MC_PERMUTATIONS + 1)
+    total = 0
+    for done in range(0, _MC_PERMUTATIONS, 2_000):
+        rows = min(2_000, _MC_PERMUTATIONS - done)
+        total += hits(rng.permuted(np.tile(yr, (rows, 1)), axis=1))
+    return (total + 1) / (_MC_PERMUTATIONS + 1)
 
 
 def _p_normal(n: int, xcounts, ycounts, observed_cmd: int) -> float:
@@ -315,9 +313,7 @@ def kendall_tau(points) -> CorrelationSummary:
     elif not (xtie and ytie):
         p = _p_inversions(n, xcounts if xtie else ycounts, cmd)
     else:
-        permutation_p = _p_enumerate if n <= 8 else _p_montecarlo
-        p = permutation_p(_x_ordered_pairs(xr), yr, cmd)
-    p = max(0.0, min(1.0, p))
+        p = _p_permutations(xr, yr, cmd)
 
     if tau > SIGN_TOLERANCE:
         sign = "positive"

@@ -28,7 +28,7 @@ from .records import FILEX, TOY_ELS, RunRecord
 from .seeding import mix64
 from .stats import shannon_entropy
 from .toy_els import toy_run
-from .validation import check_positive_int, check_seed, is_real, param_kinds, shown
+from .validation import check_param, check_positive_int, check_seed, is_real, param_kinds, shown
 
 _LOG = logging.getLogger(__name__)
 
@@ -99,19 +99,17 @@ class SweepSpec:
                 f"{self.swept_param!r} is not a {self.target} parameter "
                 f"(expected one of {names})"
             )
-        for key in self.defaults:
+        for key, value in self.defaults.items():
             if key not in names:
                 raise ValueError(f"unknown default {key!r} for target {self.target}")
+            check_param(kinds[key], key, value)
         check_positive_int("steps", self.steps)
         _check_bounds(self.low, self.high)
         if not isinstance(self.integer_valued, bool):
             raise ValueError(f"integer_valued must be a bool, got {shown(self.integer_valued)}")
-        if kinds[self.swept_param] is int and not self.integer_valued:
-            # an unfloored grid value is a float, which every point of an int field rejects
-            raise ValueError(
-                f"{self.swept_param} is an integer parameter: floor its grid"
-                " (integer_valued=True, --integer on the command line)"
-            )
+        # an int parameter's grid is always floored: an unfloored value is a
+        # float, which its field rejects
+        object.__setattr__(self, "integer_valued", self.integer_valued or kinds[self.swept_param] is int)
         check_seed("base_seed", self.base_seed)
         # numpy scalars are stored as Python numbers: the JSON sidecar
         # takes only those
@@ -268,10 +266,8 @@ def execute_sweep(spec: SweepSpec, workers: int = 1, repeats: int = 1) -> SweepO
 def _suite(target: str, rows, seed_offset: int, root_seed: int, steps: int,
            defaults: dict) -> list[SweepSpec]:
     # one spec per (param, low, high) row, seeded mix64(root_seed, seed_offset + k)
-    kinds = param_kinds(PARAMS[target])
     return [
-        SweepSpec(target, name, low, high, steps, kinds[name] is int, defaults,
-                  mix64(root_seed, seed_offset + k))
+        SweepSpec(target, name, low, high, steps, False, defaults, mix64(root_seed, seed_offset + k))
         for k, (name, low, high) in enumerate(rows)
     ]
 

@@ -20,7 +20,7 @@ def param_kinds(params_cls: type) -> dict[str, type]:
 def is_integer(v) -> bool:
     """True for an int or numpy integer (numpy registers its integer types,
     not np.bool_, as numbers.Integral)."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    return type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool))
 
 
 def is_real(v) -> bool:
@@ -62,7 +62,12 @@ def check_seed(name: str, v) -> None:
         raise ValueError(f"{name} must be below 2**64, got {shown(v)}")
 
 
+def check_param(kind: type, name: str, v) -> None:
+    """Check one parameter value by the rule for its kind, int or float."""
+    (check_positive_int if kind is int else check_positive_real)(name, v)
+
+
 def check_positive(params) -> None:
     """Check every field of a params dataclass by the rule for its kind."""
     for name, kind in param_kinds(type(params)).items():
-        (check_positive_int if kind is int else check_positive_real)(name, getattr(params, name))
+        check_param(kind, name, getattr(params, name))

@@ -4,7 +4,8 @@ Everything here is deliberately naive: O(n^2) pair counting for tau,
 brute-force permutation enumeration and a memoised insertion count for
 its null, closed-form multinomial pmf, direct tail enumeration, the FiLex
 expected collision probability as a plain product, the beta = 1 Polya-urn
-law of its counts from log-gamma, the trend smoother as one dense
+law of its counts from log-gamma, the law of the toy agent's S = 2, B = 1
+walk by dynamic programming, the trend smoother as one dense
 grid-by-points array. The point is that
 none of it shares code with the package implementations it checks.
 """
@@ -219,3 +220,39 @@ def dense_smooth_oracle(points, bandwidth=None, grid_size=200):
     xs[0], xs[-1] = x[lx.argmin()], x[lx.argmax()]
     keep = np.concatenate(([True], np.diff(xs) > 0))
     return xs[keep], ys[keep]
+
+
+def pool_bins(observed, expected, floor=5.0):
+    """Adjacent bins merged from the left until each expects >= floor, for a
+    chi-square test; a short last bin joins the one before it."""
+    obs, exp = [0], [0.0]
+    for o, e in zip(observed, expected):
+        if exp[-1] >= floor:
+            obs.append(0)
+            exp.append(0.0)
+        obs[-1] += o
+        exp[-1] += e
+    if exp[-1] < floor and len(exp) > 1:
+        obs[-2] += obs.pop()
+        exp[-2] += exp.pop()
+    return np.array(obs), np.array(exp)
+
+
+def two_word_walk_law(updates: int, lr: float, temperature: float) -> list[float]:
+    """P(Delta_K = 2 lr j), j = -K..K, for the toy agent at S = 2, B = 1
+    after K = updates updates from Delta = theta_0 - theta_1 = 0.
+
+    Each update moves Delta by +-2 lr, up with probability
+    q(Delta) = 1 / (1 + e^{Delta (T - 1)}): a dynamic program over the
+    2K + 1 states, one update at a time.
+    """
+    law = [0.0] * updates + [1.0] + [0.0] * updates
+    for _ in range(updates):
+        nxt = [0.0] * len(law)
+        for i, p in enumerate(law):
+            if p:
+                q = 1.0 / (1.0 + math.exp(2 * lr * (i - updates) * (temperature - 1)))
+                nxt[i + 1] += p * q
+                nxt[i - 1] += p * (1.0 - q)
+        law = nxt
+    return law

@@ -143,13 +143,16 @@ def test_sweep_single_param(tmp_path, capsys):
     assert meta["base_seed"] == 5 and meta["steps"] == 4
 
 
-def test_sweep_int_param_without_integer_exits_one(tmp_path, capsys):
-    # every unfloored grid value is a float, which the int field would reject
-    rc = main(["sweep", "--target", "filex", "--param", "beta", "--low", "1",
-               "--high", "1000", "--steps", "4", "--out", str(tmp_path)])
-    assert rc == 1
-    assert "--integer" in capsys.readouterr().err
-    assert not (tmp_path / "filex_beta.csv").exists()
+def test_sweep_int_param_is_floored_without_integer(tmp_path):
+    # an int parameter's grid is floored with or without --integer
+    written = []
+    for flags in ([], ["--integer"]):
+        out = tmp_path / str(len(flags))
+        assert main(["sweep", "--target", "filex", "--param", "beta", "--low", "1", "--high",
+                     "1000", "--steps", "4", "--seed", "3", "--out", str(out), *flags]) == 0
+        written.append([(out / name).read_bytes()
+                        for name in ("filex_beta.csv", "filex_beta.meta.json")])
+    assert written[0] == written[1]
 
 
 def test_sweep_suite_and_plot_round_trip(tmp_path):

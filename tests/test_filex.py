@@ -17,6 +17,7 @@ from helpers import (
     multinomial_pmf,
     polya_count_pmf,
     polya_expected_entropy,
+    pool_bins,
 )
 
 DEFAULTS = dict(alpha=1.0, beta=8, lexicon_size=64, n_iters=1000)
@@ -447,22 +448,6 @@ def test_mean_entropy_matches_polya_urn():
     assert all(abs(z) <= 4 for z in zs.values()), zs
 
 
-def _pool(observed, expected, floor=5.0):
-    # adjacent bins merged from the left until each expects >= floor; a
-    # short last bin joins the one before it
-    obs, exp = [0], [0.0]
-    for o, e in zip(observed, expected):
-        if exp[-1] >= floor:
-            obs.append(0)
-            exp.append(0.0)
-        obs[-1] += o
-        exp[-1] += e
-    if exp[-1] < floor and len(exp) > 1:
-        obs[-2] += obs.pop()
-        exp[-2] += exp.pop()
-    return np.array(obs), np.array(exp)
-
-
 def test_polya_counts_follow_beta_binomial():
     # each word's draws are recovered exactly from its final weight,
     # n = (w (1 + N alpha) - 1/S) / alpha, and n_1 over 3,000 runs must fit
@@ -476,6 +461,6 @@ def test_polya_counts_follow_beta_binomial():
     assert np.abs(counts - whole).max() <= 1e-9
     assert np.all(whole.sum(axis=1) == n)
     observed = np.bincount(whole[:, 0].astype(int), minlength=n + 1)
-    obs, exp = _pool(observed, runs * np.array(polya_count_pmf(params)))
+    obs, exp = pool_bins(observed, runs * np.array(polya_count_pmf(params)))
     stat = float(((obs - exp) ** 2 / exp).sum())
     assert chi2.sf(stat, len(exp) - 1) >= 6.3e-5, (stat, len(exp) - 1)

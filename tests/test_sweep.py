@@ -180,9 +180,8 @@ def test_spec_validation():
             small_filex_spec(integer_valued=bad)
     with pytest.raises(ValueError):
         SweepSpec("filex", "n_iters", True, 10.0, 3, "no", {}, 0)
-    # an int parameter needs a floored grid; a float one need not have it
-    with pytest.raises(ValueError, match="--integer"):
-        small_filex_spec(integer_valued=False)
+    # an int parameter's grid is always floored; a float one's only on request
+    assert small_filex_spec(integer_valued=False) == small_filex_spec()
     small_filex_spec(swept_param="alpha", integer_valued=False)
 
 

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from filexlab.seeding import make_rng
 from filexlab.stats import shannon_entropy
 from filexlab.toy_els import ToyElsParams, init_state, softmax, toy_run, toy_update
+
+from helpers import pool_bins, two_word_walk_law
 
 
 def make_params(**overrides):
@@ -315,3 +318,30 @@ def test_update_two_word_one_message_law(temperature, delta):
     q = 1 / (1 + np.exp(delta * (temperature - 1)))
     z = ((moves > 0).sum() - n * q) / np.sqrt(n * q * (1 - q))
     assert abs(z) <= 4
+
+
+@pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
+def test_two_word_one_message_walk_follows_its_exact_law(temperature):
+    # after K updates from Delta = 0, Delta / (2 lr) is an integer of K's
+    # parity, and its counts over independent chains must fit the exact law
+    # (pooled chi-square, p above the |z| = 4 rate)
+    k, lr, chains = 30, 0.1, 2000
+    params = ToyElsParams(time_steps=k, lexicon_size=2, learning_rate=lr, buffer_size=1,
+                          temperature=temperature, eval_samples=1)
+    rng = make_rng(int(100 * temperature))
+    ends = []
+    for _ in range(chains):
+        theta = init_state(params)
+        for _ in range(k):
+            theta = toy_update(theta, params, rng)
+        ends.append(np.subtract(*theta) / (2 * lr))
+    steps = np.rint(ends).astype(int)
+    assert np.allclose(ends, steps, rtol=0, atol=1e-9)
+    observed = np.bincount(steps + k, minlength=2 * k + 1)
+    # index j + K is even for every reachable state j
+    assert observed[1::2].sum() == 0
+    law = np.array(two_word_walk_law(k, lr, temperature))
+    assert law[1::2].sum() == 0
+    obs, exp = pool_bins(observed[0::2], chains * law[0::2])
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    assert chi2.sf(stat, len(exp) - 1) >= 6.3e-5, (stat, len(exp) - 1)

@@ -49,6 +49,8 @@ def test_positive_parameters_reject_the_same_values(bad):
         for name in param_kinds(cls):
             with pytest.raises(ValueError):
                 cls(**{**asdict(PARAMS[target]()), name: bad})
+            with pytest.raises(ValueError, match=f"^{name} must be a positive"):
+                SweepSpec(target, "lexicon_size", 8.0, 64.0, 3, True, {name: bad}, 0)
     for bound in ({"low": bad, "high": 10.0}, {"low": 1.0, "high": bad}):
         with pytest.raises(ValueError):
             SweepSpec(FILEX, "alpha", steps=3, integer_valued=False, defaults={}, base_seed=0,

@@ -143,15 +143,15 @@ def _run_group(params_list: list[FilexParams], seeds: list[int]) -> list[np.ndar
     t = lo = 0
     while t < n_iters[-1]:
         # One block of uniforms for the active rows: rng.random((k, beta)) is
-        # the same stream as k calls of rng.random(beta). Padding draws of 2.0
-        # land past every row's total and count in no bin. Counts do not
-        # depend on the order of the draws, so each iteration's draws are
-        # sorted; u = r * total is then sorted too.
+        # the same stream as k calls of rng.random(beta). Padding draws of inf
+        # land past every row's total, even one near the double range, and
+        # count in no bin. Counts do not depend on the order of the draws, so
+        # each iteration's draws are sorted; u = r * total is then sorted too.
         while n_iters[lo] <= t:
             lo += 1
         first = lo
         block = min(n_iters[-1] - t, max(1, _BLOCK_DOUBLES // ((n_rows - lo) * beta_max)))
-        draws = np.full((n_rows - lo, block, beta_max), 2.0)
+        draws = np.full((n_rows - lo, block, beta_max), np.inf)
         for i in range(lo, n_rows):
             k = min(block, n_iters[i] - t)
             draws[i - first, :k, : rows[i].beta] = rngs[i].random((k, rows[i].beta))

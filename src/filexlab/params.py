@@ -8,10 +8,11 @@ table without loading a model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .records import FILEX, TOY_ELS
-from .validation import check_positive
+from .validation import check_positive, is_real, shown
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,13 @@ class FilexParams:
 
     def __post_init__(self):
         check_positive(self)
+        # the weights' total after the last iteration: past the double range
+        # the normalized weights are NaN
+        if not (is_real(self.n_iters) and math.isfinite(1.0 + float(self.alpha) * int(self.n_iters))):
+            raise ValueError(
+                f"the final mass 1 + alpha * n_iters must be a finite double,"
+                f" got alpha = {shown(self.alpha)}, n_iters = {shown(self.n_iters)}"
+            )
 
 
 @dataclass(frozen=True)

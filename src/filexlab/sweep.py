@@ -28,7 +28,7 @@ from .records import FILEX, TOY_ELS, RunRecord
 from .seeding import mix64
 from .stats import shannon_entropy
 from .toy_els import toy_run
-from .validation import check_param, check_positive_int, check_seed, is_real, param_kinds, shown
+from .validation import check_positive_int, check_seed, is_real, param_kinds, shown
 
 _LOG = logging.getLogger(__name__)
 
@@ -90,19 +90,22 @@ class SweepSpec:
     base_seed: int
 
     def __post_init__(self) -> None:
-        if self.target not in TARGETS:
+        if self.target not in PARAMS:
             raise ValueError(f"unknown target {self.target!r}")
-        kinds = param_kinds(PARAMS[self.target])
+        params_cls = PARAMS[self.target]
+        kinds = param_kinds(params_cls)
         names = tuple(kinds)
         if self.swept_param not in names:
             raise ValueError(
                 f"{self.swept_param!r} is not a {self.target} parameter "
                 f"(expected one of {names})"
             )
-        for key, value in self.defaults.items():
+        for key in self.defaults:
             if key not in names:
                 raise ValueError(f"unknown default {key!r} for target {self.target}")
-            check_param(kinds[key], key, value)
+        # one parameter set, the swept parameter's default included, judged by
+        # its class; what the spec leaves out runs at the target's defaults
+        defaults = asdict(params_cls(**self.defaults))
         check_positive_int("steps", self.steps)
         _check_bounds(self.low, self.high)
         if not isinstance(self.integer_valued, bool):
@@ -115,8 +118,6 @@ class SweepSpec:
         # takes only those
         for name in ("low", "high", "steps", "base_seed"):
             object.__setattr__(self, name, _python_scalar(getattr(self, name)))
-        # parameters the spec leaves out run at the target's defaults
-        defaults = {**asdict(PARAMS[self.target]()), **self.defaults}
         object.__setattr__(self, "defaults", {k: _python_scalar(v) for k, v in defaults.items()})
 
     def grid(self) -> list[float]:

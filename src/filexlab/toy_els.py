@@ -91,7 +91,10 @@ def toy_run(params: ToyElsParams, seed: int) -> np.ndarray:
     """
     rng = make_rng(seed)
     theta = init_state(params)
-    for _ in range(params.time_steps // params.buffer_size):
-        theta = toy_update(theta, params, rng)
+    # an update that overflows raises ValueError, so numpy's warnings on the
+    # way there would only repeat it; one errstate per run, not per update
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(params.time_steps // params.buffer_size):
+            theta = toy_update(theta, params, rng)
     counts = rng.multinomial(params.eval_samples, softmax(theta))
     return counts / params.eval_samples

@@ -62,12 +62,7 @@ def check_seed(name: str, v) -> None:
         raise ValueError(f"{name} must be below 2**64, got {shown(v)}")
 
 
-def check_param(kind: type, name: str, v) -> None:
-    """Check one parameter value by the rule for its kind, int or float."""
-    (check_positive_int if kind is int else check_positive_real)(name, v)
-
-
 def check_positive(params) -> None:
     """Check every field of a params dataclass by the rule for its kind."""
     for name, kind in param_kinds(type(params)).items():
-        check_param(kind, name, getattr(params, name))
+        (check_positive_int if kind is int else check_positive_real)(name, getattr(params, name))

@@ -3,13 +3,16 @@
 The two default sweep suites run once per session, each on one pool of
 two workers, and are shared by the correlation criteria; criterion 9
 checks that the worker count does not change a sweep's output.
-Everything else is self-contained. Two more tests, not criteria, predict
-criterion 1's signs without simulation: from the closed-form FiLex
+Everything else is self-contained. Three more tests, not criteria, predict
+signs without simulation: criterion 1's from the closed-form FiLex
 expected collision probability, and at beta = 1 from the exact expected
-entropy of the Polya urn.
+entropy of the Polya urn; the toy's time_steps, learning_rate and
+temperature signs of criterion 2 from the exact law of its S = 2, B = 1
+walk.
 """
 
 import json
+import math
 import time
 
 import numpy as np
@@ -32,7 +35,7 @@ from filexlab.sweep import (
     log_sweep,
 )
 
-from helpers import expected_collision, kendall_oracle, polya_expected_entropy
+from helpers import expected_collision, kendall_oracle, polya_expected_entropy, two_word_walk_law
 
 
 def _verdict(number: int, ok: bool, detail: str) -> None:
@@ -130,6 +133,34 @@ def test_polya_oracle_predicts_criterion_1_signs_at_beta_one():
         predicted[spec.swept_param] = signs.pop()
     assert predicted == {param: np.sign(expected) for _, param, expected in _TARGET_TAUS
                          if param != "beta"}
+
+
+def _two_word_policy_entropy(updates: int, lr: float, temperature: float) -> float:
+    # E[h(sigma(Delta_K))] in bits over the law of Delta_K = 2 lr j: the
+    # toy's entropy at S = 2, B = 1 in the eval_samples -> infinity limit
+    total = 0.0
+    for j, p in enumerate(two_word_walk_law(updates, lr, temperature)):
+        delta = 2 * lr * (j - updates)
+        q0, q1 = 1.0 / (1.0 + math.exp(-delta)), 1.0 / (1.0 + math.exp(delta))
+        total -= p * (q0 * math.log2(q0) + q1 * math.log2(q1))
+    return total
+
+
+def test_two_word_walk_law_predicts_the_toy_signs_at_buffer_one():
+    # no simulation: at S = 2 and buffer_size 1, K = time_steps updates
+    # move Delta = theta_0 - theta_1 by the exact DP law, so the expected
+    # policy entropy is a finite sum. It falls with time_steps and with
+    # learning_rate and rises with temperature: the toy signs criterion 2
+    # observes. Buffer size (B > 1) and lexicon size (S > 2) are not covered
+    def falls(values):
+        return all(b < a for a, b in zip(values, values[1:]))
+
+    for t in (0.5, 1.0, 1.5):
+        assert falls([_two_word_policy_entropy(k, 0.1, t) for k in (5, 10, 20, 40)]), t
+        assert falls([_two_word_policy_entropy(40, lr, t) for lr in (0.01, 0.03, 0.1, 0.3)]), t
+    for k in (10, 40):
+        h = [_two_word_policy_entropy(k, 0.1, t) for t in (0.25, 0.5, 1.0, 1.5, 2.0, 4.0)]
+        assert falls(h[::-1]), k
 
 
 def test_criterion_2_sign_match_protocol(suite_dir, toy_suite, capsys):

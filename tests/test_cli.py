@@ -155,6 +155,17 @@ def test_sweep_int_param_is_floored_without_integer(tmp_path):
     assert written[0] == written[1]
 
 
+def test_sweep_skips_an_alpha_whose_final_mass_overflows(tmp_path, capsys):
+    # 1 + alpha * n_iters passes the double range at the last grid point
+    assert main(["sweep", "--target", "filex", "--param", "alpha", "--low", "1", "--high", "1e308",
+                 "--steps", "3", "--out", str(tmp_path)]) == 0
+    csv = tmp_path / "filex_alpha.csv"
+    assert len(read_records(csv)) == 2
+    [skip] = read_metadata(csv)["skipped"]
+    assert skip["index"] == 2 and "final mass 1 + alpha * n_iters" in skip["reason"]
+    assert "2 records, 1 skipped" in capsys.readouterr().out
+
+
 def test_sweep_suite_and_plot_round_trip(tmp_path):
     rc = main([
         "sweep", "--target", "filex", "--steps", "6", "--seed", "1",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,24 @@ def test_params_validation():
         with pytest.raises(ValueError):
             FilexParams(**{**DEFAULTS, **bad})
     FilexParams(**{**DEFAULTS, "alpha": np.float32(0.5), "beta": np.int64(3)})
+
+
+def test_final_mass_must_be_a_finite_double():
+    # 1 + alpha * n_iters is the weights' total after the last iteration
+    for bad in ({"alpha": 1e308, "n_iters": 10}, {"n_iters": 10**400},
+                {"alpha": np.float64(1e306), "n_iters": np.int64(1000)}):
+        with pytest.raises(ValueError, match=r"^the final mass 1 \+ alpha \* n_iters must be a "
+                                             r"finite double, got alpha = .*, n_iters = "):
+            FilexParams(**{**DEFAULTS, **bad})
+    # just inside the range nothing warns, in run or in run_many, which pads
+    # rows of several betas into one group
+    rows = [FilexParams(alpha=1.79e305, beta=b, lexicon_size=s, n_iters=1000)
+            for b, s in ((8, 64), (1, 3), (64, 5))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params, seed, out in zip(rows, [1, 2, 3], run_many(rows, [1, 2, 3])):
+            assert np.array_equal(out, run(params, seed))
+            assert out.sum() == pytest.approx(1.0)
 
 
 def test_state_validation():

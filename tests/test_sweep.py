@@ -2,6 +2,7 @@ import logging
 import math
 import multiprocessing
 import time
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -183,6 +184,16 @@ def test_spec_validation():
     # an int parameter's grid is always floored; a float one's only on request
     assert small_filex_spec(integer_valued=False) == small_filex_spec()
     small_filex_spec(swept_param="alpha", integer_valued=False)
+    # the defaults are one parameter set, judged by its class when the spec
+    # is built: a cross-field rule no grid value can mend fails here
+    with pytest.raises(ValueError, match="must not exceed time_steps"):
+        SweepSpec(TOY_ELS, "learning_rate", 1e-3, 1e-1, 3, False, {"buffer_size": 300_000}, 0)
+    # the swept parameter's own default is in the set too
+    with pytest.raises(ValueError, match="must not exceed time_steps"):
+        SweepSpec(TOY_ELS, "buffer_size", 8.0, 64.0, 4, False, {"time_steps": 100}, 0)
+    spec = SweepSpec(TOY_ELS, "buffer_size", 8.0, 64.0, 4, False,
+                     {"time_steps": 100, "buffer_size": 8}, 0)
+    assert len(execute_sweep(spec).records) == 4
 
 
 def test_numpy_scalar_spec_runs_and_writes_the_python_sidecar(tmp_path):
@@ -353,6 +364,19 @@ def test_closing_execute_sweeps_stops_running_chunks():
     start = time.perf_counter()
     outcomes.close()
     assert time.perf_counter() - start < dear_s / 4, dear_s
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_error_reaches_the_caller_and_stops_the_pool():
+    # every point's temperature overflows its first update: each of the two
+    # workers raises the ValueError, and no numpy warning comes before it
+    # (the workers are forked with warnings as errors)
+    spec = SweepSpec(TOY_ELS, "temperature", 1e-308, 1e-308, 2, False,
+                     {"time_steps": 8, "lexicon_size": 4, "buffer_size": 8, "eval_samples": 10}, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="too small"):
+            list(execute_sweeps([spec], workers=2))
     assert multiprocessing.active_children() == []
 
 

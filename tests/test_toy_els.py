@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,6 +190,16 @@ def test_update_rejects_overflowing_temperature():
     params = make_params(lexicon_size=4, buffer_size=8, time_steps=8, temperature=1e-308)
     with pytest.raises(ValueError, match="temperature"), np.errstate(over="ignore", invalid="ignore"):
         toy_update(init_state(params), params, make_rng(0))
+
+
+def test_run_overflow_raises_without_numpy_warnings():
+    # the ValueError is the one report: numpy's overflow and invalid-value
+    # warnings on the way to it are silenced for the run
+    params = make_params(lexicon_size=4, buffer_size=8, time_steps=16, temperature=1e-308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="too small"):
+            toy_run(params, 0)
 
 
 def test_update_gumbel_max_exactness():

@@ -12,7 +12,7 @@ import gc
 import json
 import sys
 from contextlib import closing
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .analysis import DEFAULT_STRONG_THRESHOLD, analyze_records, format_report
@@ -22,11 +22,14 @@ from .stats import shannon_entropy
 from .svgplot import build_plot
 from .validation import param_kinds
 
-# analyze and plot never load the simulators: the parser is built from
-# `params`, and `sweep`, with the models, the process pool and logging, is
-# imported only by the run and sweep commands. numpy loads with the first
-# function that computes arrays (plot's smoother, the simulators), inside
-# main(), so importing this module, --help and analyze load none of it
+# Each command loads only what it runs (this module's docstring is the
+# --help text, so the detail lives here). The parser is built from
+# `params`, so importing this module, --help, analyze and plot load
+# `records`, `analysis`, `stats`, `svgplot`, `params` and `validation`, and
+# never `sweep`, the models, `sampling`, `seeding`, `concurrent.futures` or
+# `logging`. numpy loads with the first function that computes arrays,
+# inside main(): plot's smoother, analyze's permutation route (both margins
+# tied, n <= 50), and the simulators, which run and sweep import first.
 
 
 def __getattr__(name: str):
@@ -174,11 +177,12 @@ def _cmd_sweep(args) -> int:
         kw = {} if args.steps is None else {"steps": args.steps}
         names = TARGETS if args.target == "all" else (args.target,)
         specs = [spec for name in names for spec in TARGETS[name].suite(root_seed=args.seed, **kw)]
+    specs = [replace(spec, repeats=args.repeats) for spec in specs]
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     # closing: a failed write cancels the specs still queued in the pool
-    with closing(execute_sweeps(specs, workers=args.workers, repeats=args.repeats)) as outcomes:
+    with closing(execute_sweeps(specs, workers=args.workers)) as outcomes:
         for spec, outcome in zip(specs, outcomes):
             path = out_dir / f"{spec.target}_{spec.swept_param}.csv"
             write_records(path, outcome.records, spec=spec, skipped=outcome.skipped)

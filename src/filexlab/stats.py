@@ -9,9 +9,21 @@ takes one of three routes, picked by sample size and ties:
 - n <= 50 with both margins tied: all n! permutations while n <= 8,
   otherwise seeded Monte-Carlo permutations.
 
-Ranks, ties and inversions are counted in Python ints. numpy is imported
-only where arrays are computed: entropy, smoothing and the last route.
-So importing this module loads no numpy.
+Ranks, ties and inversions are counted in Python ints. C - D comes from
+each margin's dense ranks: the joint ties from one sorted x-major key, the
+discordant pairs as the inversions of the y ranks in that order, counted
+by a Fenwick tree in O(n log n). The exact null is the q-multinomial law
+of the inversion count I, since C - D = P - 2I with P the pairs tied in
+neither margin. The permutation route counts C - D over the upper-triangle
+pairs of int8 dense ranks.
+
+The smoother works through its grid in blocks of rows, so its memory is
+O(n) in the points, and its output is bit-identical to the one-array
+formula. Kendall tau and the smoother share one pure-Python check of
+their points (an (n, 2) collection of finite reals, numpy arrays included).
+
+numpy is imported only where arrays are computed: entropy, smoothing and
+the permutation route. So importing this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -380,6 +392,7 @@ def gaussian_smooth(points, bandwidth: float | None = None, grid_size: int = 200
         )
 
     xs = np.exp(lgrid)
-    xs[0], xs[-1] = x[lx.argmin()], x[lx.argmax()]
+    # last first: on a one-point grid xs[0] is xs[-1], and it sits at lo
+    xs[-1], xs[0] = x[lx.argmax()], x[lx.argmin()]
     keep = np.concatenate(([True], np.diff(xs) > 0))
     return TrendCurve(xs=xs[keep], ys=ys[keep])

@@ -1,13 +1,20 @@
 """Declarative hyperparameter sweeps over the urn process and the toy agent.
 
-A SweepSpec names one hyperparameter, a geometric grid for it, and the
-defaults for everything else. Each grid point runs once with a seed mixed
-from (base_seed, grid index), so results are reproducible and independent
-of execution order or worker count.
+A SweepSpec names one hyperparameter, a geometric grid for it, the
+defaults for everything else, a base seed and how many times each point
+runs. Each run has a seed mixed from (base_seed, grid index, repeat), so
+results are reproducible and independent of execution order or worker
+count, and the spec alone, as its sidecar records it, rebuilds its CSV.
 
 TARGETS gives each simulated process its batch runner and its default
 sweep suite; its parameter class in `params.PARAMS` gives the parameter
-names, their int/float kinds and their defaults.
+names, their int/float kinds and their defaults. FiLex points run through
+`filex.run_many`, toy points one `toy_run` after another.
+
+With workers > 1 one process pool serves every spec of a call (see
+execute_sweeps). The pool machinery (`concurrent.futures.process`, and
+with it `multiprocessing`) is imported only when a pool is built, so
+`sweep --workers 1` never loads it.
 """
 
 from __future__ import annotations
@@ -78,7 +85,8 @@ def log_sweep(low: float, high: float, n: int) -> list[float]:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One hyperparameter sweep: target process, grid, defaults, base seed."""
+    """One hyperparameter sweep: target process, grid, defaults, base seed,
+    and the runs per grid point."""
 
     target: str
     swept_param: str
@@ -88,6 +96,7 @@ class SweepSpec:
     integer_valued: bool
     defaults: dict
     base_seed: int
+    repeats: int = 1
 
     def __post_init__(self) -> None:
         if self.target not in PARAMS:
@@ -107,6 +116,7 @@ class SweepSpec:
         # its class; what the spec leaves out runs at the target's defaults
         defaults = asdict(params_cls(**self.defaults))
         check_positive_int("steps", self.steps)
+        check_positive_int("repeats", self.repeats)
         _check_bounds(self.low, self.high)
         if not isinstance(self.integer_valued, bool):
             raise ValueError(f"integer_valued must be a bool, got {shown(self.integer_valued)}")
@@ -116,7 +126,7 @@ class SweepSpec:
         check_seed("base_seed", self.base_seed)
         # numpy scalars are stored as Python numbers: the JSON sidecar
         # takes only those
-        for name in ("low", "high", "steps", "base_seed"):
+        for name in ("low", "high", "steps", "base_seed", "repeats"):
             object.__setattr__(self, name, _python_scalar(getattr(self, name)))
         object.__setattr__(self, "defaults", {k: _python_scalar(v) for k, v in defaults.items()})
 
@@ -172,7 +182,7 @@ class _Points:
         return SweepOutcome(records=records, skipped=self.skipped)
 
 
-def _points(spec: SweepSpec, repeats: int) -> _Points:
+def _points(spec: SweepSpec) -> _Points:
     params_cls = PARAMS[spec.target]
     points = _Points(spec, [], [], [], [])
     for i, value in enumerate(spec.grid()):
@@ -186,20 +196,18 @@ def _points(spec: SweepSpec, repeats: int) -> _Points:
                 spec.target, spec.swept_param, i, value, exc,
             )
             continue
-        for r in range(repeats):
+        for r in range(spec.repeats):
             points.values.append(value)
             points.params_list.append(params)
-            points.seeds.append(mix64(spec.base_seed, i * repeats + r))
+            points.seeds.append(mix64(spec.base_seed, i * spec.repeats + r))
     return points
 
 
-def execute_sweeps(
-    specs: list[SweepSpec], workers: int = 1, repeats: int = 1
-) -> Generator[SweepOutcome, None, None]:
+def execute_sweeps(specs: list[SweepSpec], workers: int = 1) -> Generator[SweepOutcome, None, None]:
     """Run every spec's grid; yield one SweepOutcome per spec, in spec order.
 
-    Each point runs at its grid index i, with repeats > 1 repeats times,
-    seeded by mix64(base_seed, i * repeats + r). Invalid points (the
+    Each point runs at its grid index i, spec.repeats times, seeded by
+    mix64(base_seed, i * repeats + r). Invalid points (the
     installed value makes the parameter set unconstructible) are skipped,
     logged here, before any point runs, and reported in their spec's
     outcome, one entry per grid point.
@@ -213,8 +221,7 @@ def execute_sweeps(
     running ones; no worker outlives it.
     """
     check_positive_int("workers", workers)
-    check_positive_int("repeats", repeats)
-    all_points = [_points(spec, repeats) for spec in specs]
+    all_points = [_points(spec) for spec in specs]
     return _run(all_points, workers)
 
 
@@ -258,9 +265,9 @@ def _run(all_points: list[_Points], workers: int) -> Generator[SweepOutcome, Non
         pool.shutdown(cancel_futures=True)
 
 
-def execute_sweep(spec: SweepSpec, workers: int = 1, repeats: int = 1) -> SweepOutcome:
+def execute_sweep(spec: SweepSpec, workers: int = 1) -> SweepOutcome:
     """The one-spec case of execute_sweeps."""
-    with closing(execute_sweeps([spec], workers, repeats)) as outcomes:
+    with closing(execute_sweeps([spec], workers)) as outcomes:
         return next(outcomes)
 
 

@@ -4,8 +4,9 @@ Everything here is deliberately naive: O(n^2) pair counting for tau,
 brute-force permutation enumeration and a memoised insertion count for
 its null, closed-form multinomial pmf, direct tail enumeration, the FiLex
 expected collision probability as a plain product, the beta = 1 Polya-urn
-law of its counts from log-gamma, the law of the toy agent's S = 2, B = 1
-walk by dynamic programming, the trend smoother as one dense
+law of its counts from log-gamma, the law of the toy agent's S = 2 walk
+by dynamic programming, bounds on its up-probability at any buffer size
+from binned FFT convolution, the trend smoother as one dense
 grid-by-points array. The point is that
 none of it shares code with the package implementations it checks.
 """
@@ -217,7 +218,7 @@ def dense_smooth_oracle(points, bandwidth=None, grid_size=200):
     w = np.exp(logw - logw.max(axis=1, keepdims=True))
     ys = (w * y).sum(axis=1) / w.sum(axis=1)
     xs = np.exp(lgrid)
-    xs[0], xs[-1] = x[lx.argmin()], x[lx.argmax()]
+    xs[-1], xs[0] = x[lx.argmax()], x[lx.argmin()]
     keep = np.concatenate(([True], np.diff(xs) > 0))
     return xs[keep], ys[keep]
 
@@ -238,21 +239,56 @@ def pool_bins(observed, expected, floor=5.0):
     return np.array(obs), np.array(exp)
 
 
-def two_word_walk_law(updates: int, lr: float, temperature: float) -> list[float]:
-    """P(Delta_K = 2 lr j), j = -K..K, for the toy agent at S = 2, B = 1
-    after K = updates updates from Delta = theta_0 - theta_1 = 0.
+def two_word_walk_law(updates: int, lr: float, temperature: float, up=None) -> list[float]:
+    """P(Delta_K = 2 lr j), j = -K..K, for the toy agent at S = 2 after
+    K = updates updates from Delta = theta_0 - theta_1 = 0.
 
-    Each update moves Delta by +-2 lr, up with probability
-    q(Delta) = 1 / (1 + e^{Delta (T - 1)}): a dynamic program over the
-    2K + 1 states, one update at a time.
+    Each update moves Delta by +-2 lr, up with probability up(Delta): by
+    default the B = 1 closed form q(Delta) = 1 / (1 + e^{Delta (T - 1)}).
+    A dynamic program over the 2K + 1 states, one update at a time.
     """
+    if up is None:
+        def up(delta):
+            return 1.0 / (1.0 + math.exp(delta * (temperature - 1)))
     law = [0.0] * updates + [1.0] + [0.0] * updates
     for _ in range(updates):
         nxt = [0.0] * len(law)
         for i, p in enumerate(law):
             if p:
-                q = 1.0 / (1.0 + math.exp(2 * lr * (i - updates) * (temperature - 1)))
+                q = up(2 * lr * (i - updates))
                 nxt[i + 1] += p * q
                 nxt[i - 1] += p * (1.0 - q)
         law = nxt
     return law
+
+
+@lru_cache(maxsize=None)
+def two_word_up_bracket(buffer_size: int, temperature: float, delta: float,
+                        bins: int = 2048) -> tuple[float, float]:
+    """(lower, upper) bounds on the toy agent's up-probability at S = 2,
+    q_B(Delta) = P(mean_b X_b > sigma(Delta)), X_b = sigma((Delta + L_b) / T)
+    with L_b i.i.d. standard logistic and B = buffer_size.
+
+    P(X <= x) = sigma(T logit x - Delta) puts X's mass on `bins` equal bins
+    of [0, 1]. Rounding every X down to its bin's lower edge can only lower
+    the buffer mean, and rounding up can only raise it; the sum of B rounded
+    values is the B-fold convolution of the bin masses (by FFT), shifted by
+    B bins for the upper bound. Negative Delta is the mirror image:
+    q_B(-Delta) = 1 - q_B(Delta).
+    """
+    if delta < 0:
+        lower, upper = two_word_up_bracket(buffer_size, temperature, -delta, bins)
+        return 1.0 - upper, 1.0 - lower
+    edges = np.arange(bins + 1) / bins
+    with np.errstate(divide="ignore", over="ignore"):
+        logit = np.log(edges) - np.log1p(-edges)
+        cdf = 1.0 / (1.0 + np.exp(delta - temperature * logit))
+    mass = np.diff(cdf)
+    n = buffer_size * (bins - 1) + 1
+    size = 1 << (n - 1).bit_length()
+    law = np.fft.irfft(np.fft.rfft(mass, size) ** buffer_size, size)[:n]
+    # the rounded-down sum (in bins) must pass B bins * sigma(Delta)
+    threshold = buffer_size * bins / (1.0 + math.exp(-delta))
+    lower = law[math.floor(threshold) + 1:].sum()
+    upper = law[max(0, math.floor(threshold - buffer_size) + 1):].sum()
+    return float(np.clip(lower, 0.0, 1.0)), float(np.clip(upper, 0.0, 1.0))

@@ -35,7 +35,13 @@ from filexlab.sweep import (
     log_sweep,
 )
 
-from helpers import expected_collision, kendall_oracle, polya_expected_entropy, two_word_walk_law
+from helpers import (
+    expected_collision,
+    kendall_oracle,
+    polya_expected_entropy,
+    two_word_up_bracket,
+    two_word_walk_law,
+)
 
 
 def _verdict(number: int, ok: bool, detail: str) -> None:
@@ -135,14 +141,16 @@ def test_polya_oracle_predicts_criterion_1_signs_at_beta_one():
                          if param != "beta"}
 
 
-def _two_word_policy_entropy(updates: int, lr: float, temperature: float) -> float:
+def _two_word_policy_entropy(updates: int, lr: float, temperature: float, up=None) -> float:
     # E[h(sigma(Delta_K))] in bits over the law of Delta_K = 2 lr j: the
-    # toy's entropy at S = 2, B = 1 in the eval_samples -> infinity limit
+    # toy's entropy at S = 2 in the eval_samples -> infinity limit, at B = 1
+    # unless `up` gives another up-probability; 0 log 0 is 0
     total = 0.0
-    for j, p in enumerate(two_word_walk_law(updates, lr, temperature)):
+    for j, p in enumerate(two_word_walk_law(updates, lr, temperature, up)):
         delta = 2 * lr * (j - updates)
-        q0, q1 = 1.0 / (1.0 + math.exp(-delta)), 1.0 / (1.0 + math.exp(delta))
-        total -= p * (q0 * math.log2(q0) + q1 * math.log2(q1))
+        for q in (1.0 / (1.0 + math.exp(-delta)), 1.0 / (1.0 + math.exp(delta))):
+            if q > 0.0:
+                total -= p * q * math.log2(q)
     return total
 
 
@@ -151,7 +159,8 @@ def test_two_word_walk_law_predicts_the_toy_signs_at_buffer_one():
     # move Delta = theta_0 - theta_1 by the exact DP law, so the expected
     # policy entropy is a finite sum. It falls with time_steps and with
     # learning_rate and rises with temperature: the toy signs criterion 2
-    # observes. Buffer size (B > 1) and lexicon size (S > 2) are not covered
+    # observes. Buffer size (B > 1) has its own test below, and lexicon size
+    # (S > 2) is not covered
     def falls(values):
         return all(b < a for a, b in zip(values, values[1:]))
 
@@ -161,6 +170,21 @@ def test_two_word_walk_law_predicts_the_toy_signs_at_buffer_one():
     for k in (10, 40):
         h = [_two_word_policy_entropy(k, 0.1, t) for t in (0.25, 0.5, 1.0, 1.5, 2.0, 4.0)]
         assert falls(h[::-1]), k
+
+
+def test_two_word_walk_law_predicts_the_toy_buffer_size_sign():
+    # no simulation: at S = 2 and any buffer size B, Delta still moves by
+    # +-2 lr, up with a probability held in an exact bracket. With a fixed
+    # budget of 256 time steps, K = 256 // B updates, the expected policy
+    # entropy rises with B under the law run at either bracket end: the toy
+    # buffer_size sign criterion 2 observes. Lexicon size (S > 2) is not covered
+    lr, budget = 0.1, 256
+    for t in (0.5, 1.0, 1.5):
+        for end in (0, 1):
+            h = [_two_word_policy_entropy(
+                     budget // b, lr, t, lambda delta, b=b: two_word_up_bracket(b, t, delta)[end])
+                 for b in (2, 4, 8, 16, 32)]
+            assert all(a < b for a, b in zip(h, h[1:])), (t, end, h)
 
 
 def test_criterion_2_sign_match_protocol(suite_dir, toy_suite, capsys):

@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +14,9 @@ import pytest
 from filexlab import filex
 from filexlab.cli import main
 from filexlab.params import FilexParams, ToyElsParams
-from filexlab.records import metadata_path, read_metadata, read_records, write_records
+from filexlab.records import format_rows, metadata_path, read_metadata, read_records, write_records
 from filexlab.stats import shannon_entropy
-from filexlab.sweep import FILEX, TOY_ELS, RunRecord
+from filexlab.sweep import FILEX, TOY_ELS, RunRecord, SweepSpec, execute_sweep
 from filexlab.toy_els import toy_run
 
 
@@ -141,6 +141,18 @@ def test_sweep_single_param(tmp_path, capsys):
     assert [r.value for r in rows] == [1.0, 2.0, 4.0, 8.0]
     meta = read_metadata(csv)
     assert meta["base_seed"] == 5 and meta["steps"] == 4
+
+
+def test_sweep_sidecar_rebuilds_its_csv_with_repeats(tmp_path):
+    # the sidecar names every input of its CSV: the spec it records, repeats
+    # included, runs to the same bytes
+    assert main(["sweep", "--target", "filex", "--param", "beta", "--low", "1", "--high", "8",
+                 "--steps", "4", "--repeats", "3", "--seed", "5", "--out", str(tmp_path)]) == 0
+    csv = tmp_path / "filex_beta.csv"
+    meta = read_metadata(csv)
+    assert meta["repeats"] == 3
+    spec = SweepSpec(**{f.name: meta[f.name] for f in fields(SweepSpec)})
+    assert format_rows(execute_sweep(spec).records) == csv.read_text(encoding="utf-8")
 
 
 def test_sweep_int_param_is_floored_without_integer(tmp_path):

@@ -506,6 +506,10 @@ def test_smooth_validation():
             gaussian_smooth([(1.0, 1.0), (2.0, 1.0)], **kw)
     curve = gaussian_smooth([(1.0, 1.0), (2.0, 1.0)], bandwidth=np.float32(0.5), grid_size=np.int64(5))
     assert len(curve.xs) == 5
+    # a one-point grid sits at the smallest x, and its trend is the one there
+    one = gaussian_smooth([(1, 0.0), (10, 1.0)], grid_size=1)
+    two = gaussian_smooth([(1, 0.0), (10, 1.0)], grid_size=2)
+    assert one.xs.tolist() == [1.0] and one.ys[0] == two.ys[0]
 
 
 def _smooth_points(rng, n):

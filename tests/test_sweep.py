@@ -1,9 +1,11 @@
 import logging
 import math
 import multiprocessing
+import os
 import time
 import warnings
-from dataclasses import asdict
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from filexlab.seeding import mix64
 from filexlab.stats import shannon_entropy
 from filexlab.sweep import (
     FILEX,
+    TARGETS,
     TOY_ELS,
     SweepSpec,
     default_filex_suite,
@@ -169,6 +172,9 @@ def test_spec_validation():
         small_filex_spec(base_seed=True)
     with pytest.raises(ValueError):
         SweepSpec("filex", "n_iters", 1, 10, True, True, {}, True)
+    for bad in (0, True):
+        with pytest.raises(ValueError, match="repeats must be a positive integer"):
+            small_filex_spec(repeats=bad)
     # bounds are real numbers and integer_valued is a bool, nothing truthy
     small_filex_spec(low=np.float32(2.0), high=np.int64(64))
     for bad in (True, "1", None):
@@ -198,12 +204,13 @@ def test_spec_validation():
 
 def test_numpy_scalar_spec_runs_and_writes_the_python_sidecar(tmp_path):
     python_spec = small_filex_spec(low=1, high=64.0, steps=3, base_seed=5,
-                                   defaults={"beta": 4, "n_iters": 20})
+                                   defaults={"beta": 4, "n_iters": 20}, repeats=2)
     numpy_spec = small_filex_spec(low=np.int64(1), high=np.float64(64.0), steps=np.int64(3),
                                   base_seed=np.int64(5),
-                                  defaults={"beta": np.int64(4), "n_iters": np.int64(20)})
+                                  defaults={"beta": np.int64(4), "n_iters": np.int64(20)},
+                                  repeats=np.int64(2))
     assert numpy_spec == python_spec
-    for name in ("low", "high", "steps", "base_seed"):
+    for name in ("low", "high", "steps", "base_seed", "repeats"):
         assert type(getattr(numpy_spec, name)) is type(getattr(python_spec, name))
     assert [type(v) for v in numpy_spec.defaults.values()] == [float, int, int, int]
     paths = []
@@ -306,8 +313,8 @@ def test_partial_defaults_filled_from_target():
 
 
 def test_sweep_repeats():
-    spec = small_filex_spec(steps=4)
-    outcome = execute_sweep(spec, repeats=3)
+    spec = replace(small_filex_spec(steps=4), repeats=3)
+    outcome = execute_sweep(spec)
     assert len(outcome.records) == 12
     seeds = [r.seed for r in outcome.records]
     assert len(set(seeds)) == 12
@@ -321,7 +328,7 @@ def test_sweep_repeats():
 def test_sweep_argument_validation():
     spec = small_filex_spec()
     for run in (execute_sweep, lambda spec, **kw: execute_sweeps([spec], **kw)):
-        for bad in ({"workers": 0}, {"repeats": 0}, {"workers": True}, {"repeats": True}):
+        for bad in ({"workers": 0}, {"workers": True}):
             with pytest.raises(ValueError):
                 run(spec, **bad)
     assert multiprocessing.active_children() == []
@@ -338,11 +345,11 @@ def mixed_specs():
 
 @pytest.mark.parametrize("workers,repeats", [(1, 1), (2, 1), (2, 3)])
 def test_execute_sweeps_matches_execute_sweep_per_spec(workers, repeats):
-    specs = mixed_specs()
-    expected = [execute_sweep(spec, repeats=repeats) for spec in specs]
+    specs = [replace(spec, repeats=repeats) for spec in mixed_specs()]
+    expected = [execute_sweep(spec) for spec in specs]
     assert [len(o.records) for o in expected] == [7 * repeats, 0, repeats, 5 * repeats]
     assert [len(o.skipped) for o in expected] == [0, 3, 2, 0]
-    outcomes = list(execute_sweeps(specs, workers=workers, repeats=repeats))
+    outcomes = list(execute_sweeps(specs, workers=workers))
     assert outcomes == expected
     assert multiprocessing.active_children() == []
 
@@ -377,6 +384,22 @@ def test_a_worker_error_reaches_the_caller_and_stops_the_pool():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="too small"):
             list(execute_sweeps([spec], workers=2))
+    assert multiprocessing.active_children() == []
+
+
+def _exit_at_once(params_list, seeds):
+    os._exit(1)
+
+
+def test_a_worker_that_dies_stops_the_sweep_at_once(monkeypatch):
+    # forked workers inherit the patched row, and the first chunk kills its
+    # worker: the caller gets BrokenProcessPool within seconds, not a hang,
+    # and no worker outlives the sweep
+    monkeypatch.setitem(TARGETS, FILEX, replace(TARGETS[FILEX], run_many=_exit_at_once))
+    start = time.perf_counter()
+    with pytest.raises(BrokenProcessPool):
+        list(execute_sweeps([small_filex_spec()], workers=2))
+    assert time.perf_counter() - start < 10
     assert multiprocessing.active_children() == []
 
 

@@ -10,7 +10,7 @@ from filexlab.seeding import make_rng
 from filexlab.stats import shannon_entropy
 from filexlab.toy_els import ToyElsParams, init_state, softmax, toy_run, toy_update
 
-from helpers import pool_bins, two_word_walk_law
+from helpers import pool_bins, two_word_up_bracket, two_word_walk_law
 
 
 def make_params(**overrides):
@@ -311,24 +311,39 @@ def test_eval_frequencies_are_distribution():
         assert shannon_entropy(out) <= np.log2(32) + 1e-12
 
 
-@pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
-@pytest.mark.parametrize("delta", [0.5, 2.0])
-def test_update_two_word_one_message_law(temperature, delta):
-    # S = 2, B = 1: the gradient is (g, -g) and the RMS step is lr in each
-    # logit, so Delta = theta_0 - theta_1 moves by exactly +-2 lr. It moves
-    # up when softmax((theta + G) / T)_0 > softmax(theta)_0, i.e. when the
-    # standard logistic G_0 - G_1 exceeds Delta (T - 1): probability
-    # q = 1 / (1 + e^{Delta (T - 1)}). T < 1 is rich-get-richer, T > 1
-    # pulls Delta back to 0.
+@pytest.mark.parametrize("temperature,delta", [(1.0, 0.5), (0.5, 2.0), (2.0, 0.5)])
+def test_two_word_up_bracket_holds_the_buffer_one_closed_form(temperature, delta):
+    q = 1 / (1 + np.exp(delta * (temperature - 1)))
+    lower, upper = two_word_up_bracket(1, temperature, delta)
+    assert lower <= q <= upper and upper - lower < 2e-3
+    assert two_word_up_bracket(1, temperature, -delta) == (1 - upper, 1 - lower)
+
+
+# ids "delta-temperature", with "-B<size>" past buffer size 1
+@pytest.mark.parametrize("delta,temperature,buffer_size", [
+    pytest.param(d, t, b, id=f"{d}-{t}" + (f"-B{b}" if b > 1 else ""))
+    for b in (1, 4, 16) for t in (0.5, 1.0, 2.0) for d in (0.5, 2.0)
+])
+def test_update_two_word_one_message_law(delta, temperature, buffer_size):
+    # S = 2: the gradient is (g, -g) at any buffer size and the RMS step is
+    # lr in each logit, so Delta = theta_0 - theta_1 moves by exactly +-2 lr.
+    # It moves up when the buffer mean of softmax((theta + G_b) / T)_0 passes
+    # softmax(theta)_0 = sigma(Delta). At B = 1 that is the standard
+    # logistic G_0 - G_1 exceeding Delta (T - 1): probability
+    # q = 1 / (1 + e^{Delta (T - 1)}), where T < 1 is rich-get-richer and
+    # T > 1 pulls Delta back to 0. At any B, q lies in the exact bracket
     lr, n = 0.05, 4000
-    params = ToyElsParams(time_steps=1, lexicon_size=2, learning_rate=lr, buffer_size=1,
-                          temperature=temperature, eval_samples=1)
+    params = ToyElsParams(time_steps=buffer_size, lexicon_size=2, learning_rate=lr,
+                          buffer_size=buffer_size, temperature=temperature, eval_samples=1)
     theta = np.array([delta / 2, -delta / 2])
-    rng = make_rng(int(1000 * temperature + 10 * delta))
+    rng = make_rng(int(1000 * temperature + 10 * delta) + 10_000 * (buffer_size - 1))
     moves = np.array([np.subtract(*toy_update(theta, params, rng)) - delta for _ in range(n)])
     assert np.allclose(np.abs(moves), 2 * lr, rtol=0, atol=1e-12)
-    q = 1 / (1 + np.exp(delta * (temperature - 1)))
-    z = ((moves > 0).sum() - n * q) / np.sqrt(n * q * (1 - q))
+    ups = (moves > 0).sum()
+    lower, upper = two_word_up_bracket(buffer_size, temperature, delta)
+    # the z of the bracket end nearer the observed count; 0 inside it
+    q = min(max(ups / n, lower), upper)
+    z = (ups - n * q) / np.sqrt(n * q * (1 - q))
     assert abs(z) <= 4
 
 

@@ -197,10 +197,7 @@ def _cmd_analyze(args) -> int:
         records.extend(read_records(path))
         metadata = read_metadata(path)
         if metadata is not None:
-            version = metadata.get("artifact_version")
-            if not isinstance(version, (str, type(None))):
-                raise ValueError(f"{path}: artifact_version must be a string, got {version!r}")
-            versions.setdefault(version, path)
+            versions.setdefault(metadata.get("artifact_version"), path)
     if len(versions) > 1:
         mixed = ", ".join(f"{v!r} ({path})" for v, path in versions.items())
         raise ValueError(f"input files mix artifact versions: {mixed}")

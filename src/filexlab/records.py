@@ -18,7 +18,7 @@ import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .validation import check_seed
+from .validation import check_seed, shown
 
 FILEX = "filex"
 TOY_ELS = "toy_els"
@@ -103,10 +103,11 @@ def read_records(csv_path) -> list[RunRecord]:
 def read_metadata(csv_path) -> dict | None:
     """The sidecar contents, or None when no sidecar exists.
 
-    A sidecar that is not a JSON object is a ValueError, and so is one
+    A sidecar that is not a JSON object is a ValueError, and so are one
     json cannot read (malformed, or an int of more digits than Python
-    converts); either names the sidecar. The fields are not checked here:
-    each reader checks the ones it reads.
+    converts) and one whose artifact_version is not a string, null or absent;
+    each names the sidecar. The other fields are checked by the readers
+    that read them.
     """
     p = metadata_path(csv_path)
     if not p.exists():
@@ -117,4 +118,7 @@ def read_metadata(csv_path) -> dict | None:
         raise ValueError(f"{p}: {exc}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{p}: expected a JSON object, got {type(meta).__name__}")
+    version = meta.get("artifact_version")
+    if not isinstance(version, (str, type(None))):
+        raise ValueError(f"{p}: artifact_version must be a string, got {shown(version)}")
     return meta

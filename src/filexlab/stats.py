@@ -40,10 +40,10 @@ from .validation import check_positive_int, check_positive_real, is_integer, sho
 if TYPE_CHECKING:
     import numpy as np
 
-SIGN_TOLERANCE = 1e-12
-
 _MC_PERMUTATIONS = 100_000
 _MC_SEED = 0x7A11E5  # fixed: identical inputs give identical p-values
+
+_SMOOTH_GRID = 200  # points of the smoother's log-spaced trend grid
 
 # The smoother works through its grid in blocks of rows, each temporary
 # holding at most this many doubles (256 KiB; one row always fits), so its
@@ -59,7 +59,7 @@ class UndefinedCorrelationError(ValueError):
 class CorrelationSummary:
     """Kendall tau-b with its two-sided significance.
 
-    sign is "zero" when |tau| < SIGN_TOLERANCE, otherwise the sign of tau.
+    sign is that of the exact integer C - D: "positive", "negative" or "zero".
     """
 
     tau: float
@@ -327,12 +327,7 @@ def kendall_tau(points) -> CorrelationSummary:
     else:
         p = _p_permutations(xr, yr, cmd)
 
-    if tau > SIGN_TOLERANCE:
-        sign = "positive"
-    elif tau < -SIGN_TOLERANCE:
-        sign = "negative"
-    else:
-        sign = "zero"
+    sign = "positive" if cmd > 0 else "negative" if cmd < 0 else "zero"
     return CorrelationSummary(tau=tau, p_value=p, n=n, sign=sign)
 
 
@@ -348,8 +343,8 @@ def binomial_sign_test(successes: int, trials: int) -> float:
     return tail / 2**trials
 
 
-def gaussian_smooth(points, bandwidth: float | None = None, grid_size: int = 200) -> TrendCurve:
-    """Gaussian-kernel trend of y over a log-spaced x grid (Nadaraya-Watson).
+def gaussian_smooth(points, bandwidth: float | None = None) -> TrendCurve:
+    """Gaussian-kernel trend of y over a 200-point log-spaced x grid (Nadaraya-Watson).
 
     Distances are measured in log-x, so the smoothing is uniform across a
     logarithmic sweep. bandwidth defaults to 1/20 of the log-x range.
@@ -364,7 +359,6 @@ def gaussian_smooth(points, bandwidth: float | None = None, grid_size: int = 200
     x, y = np.array(_finite_points(points, 1)).reshape(-1, 2).T
     if np.any(x <= 0):
         raise ValueError("all x values must be positive")
-    check_positive_int("grid_size", grid_size)
     if bandwidth is not None:
         check_positive_real("bandwidth", bandwidth)
 
@@ -374,12 +368,12 @@ def gaussian_smooth(points, bandwidth: float | None = None, grid_size: int = 200
         return TrendCurve(xs=np.array([x[0]]), ys=np.array([float(y.mean())]))
 
     h = bandwidth if bandwidth is not None else (hi - lo) / 20.0
-    lgrid = np.linspace(lo, hi, grid_size)
-    ys = np.empty(grid_size)
+    lgrid = np.linspace(lo, hi, _SMOOTH_GRID)
+    ys = np.empty(_SMOOTH_GRID)
     rows = max(1, _SMOOTH_BLOCK_ELEMENTS // len(lx))
     # an overflow leaves a non-finite trend value, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, grid_size, rows):
+        for start in range(0, _SMOOTH_GRID, rows):
             # each row's arithmetic is the same whatever the block holds
             block = slice(start, start + rows)
             z = (lgrid[block, None] - lx) / h
@@ -392,7 +386,6 @@ def gaussian_smooth(points, bandwidth: float | None = None, grid_size: int = 200
         )
 
     xs = np.exp(lgrid)
-    # last first: on a one-point grid xs[0] is xs[-1], and it sits at lo
-    xs[-1], xs[0] = x[lx.argmax()], x[lx.argmin()]
+    xs[0], xs[-1] = x[lx.argmin()], x[lx.argmax()]
     keep = np.concatenate(([True], np.diff(xs) > 0))
     return TrendCurve(xs=xs[keep], ys=ys[keep])

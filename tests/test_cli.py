@@ -280,8 +280,10 @@ def test_analyze_mixed_artifact_versions_exit_one(tmp_path, capsys):
     ("plot", {"defaults": {"lexicon_size": "64"}}),
     ("plot", {"defaults": [64]}),
     ("analyze", {"artifact_version": ["0.1.0"]}),
+    ("plot", {"artifact_version": ["0.1.0"]}),
 ], ids=["plot-list", "analyze-list", "analyze-string", "plot-no-high", "plot-string-high",
-        "plot-string-lexicon-size", "plot-list-defaults", "analyze-list-version"])
+        "plot-string-lexicon-size", "plot-list-defaults", "analyze-list-version",
+        "plot-list-version"])
 def test_malformed_sidecar_exits_one(tmp_path, capsys, command, sidecar):
     paths = synth_suite_files(tmp_path)
     lexicon_csv = paths[1]  # filex lexicon_size

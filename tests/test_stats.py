@@ -233,19 +233,21 @@ def test_pair_sum_kernel_property_matches_oracle(pts, seed):
 
 
 def test_tau_sign_matches_oracle_pair_sum():
+    # untied normals, tied small integers, and a tied case with C - D = 0
     rng = np.random.default_rng(21)
-    for _ in range(10):
-        n = int(rng.integers(5, 60))
-        x = rng.normal(size=n)
-        y = rng.normal(size=n)
+    samples = [(rng.normal(size=n), rng.normal(size=n))
+               for n in map(int, rng.integers(5, 60, size=10))]
+    samples += [(rng.integers(0, 4, size=n), rng.integers(0, 4, size=n))
+                for n in map(int, rng.integers(5, 60, size=20))]
+    samples.append(([1, 2, 3, 4], [1, 2, 2, 1]))
+    signs = set()
+    for x, y in samples:
         s = kendall_tau(np.column_stack([x, y]))
         cmd = pair_sum_oracle(x, y)
-        if cmd > 0:
-            assert s.sign == "positive"
-        elif cmd < 0:
-            assert s.sign == "negative"
-        else:
-            assert s.sign == "zero"
+        assert s.sign == ("positive" if cmd > 0 else "negative" if cmd < 0 else "zero")
+        signs.add(s.sign)
+    assert signs == {"positive", "negative", "zero"}
+    assert kendall_tau(np.column_stack(samples[-1])).tau == 0.0
 
 
 def test_tau_invariant_under_monotone_maps():
@@ -472,7 +474,7 @@ def test_smooth_convex_combination_and_grid():
     rng = np.random.default_rng(30)
     xs = np.sort(rng.uniform(0.5, 500, 40))
     ys = rng.normal(size=40)
-    curve = gaussian_smooth(np.column_stack([xs, ys]), grid_size=200)
+    curve = gaussian_smooth(np.column_stack([xs, ys]))
     assert len(curve.xs) == len(curve.ys) == 200
     assert np.all(np.diff(curve.xs) > 0)
     assert curve.xs[0] == pytest.approx(xs.min(), rel=1e-12)
@@ -498,18 +500,12 @@ def test_smooth_validation():
         gaussian_smooth([(-1.0, 1.0), (2.0, 1.0)])
     with pytest.raises(ValueError):
         gaussian_smooth([(1.0, 1.0), (2.0, 1.0)], bandwidth=0.0)
-    # a bool is never a bandwidth or a grid size, and a grid size is whole
-    for kw in ({"grid_size": 0}, {"grid_size": True}, {"grid_size": 2.5}, {"grid_size": None},
-               {"bandwidth": True}, {"bandwidth": "1"}, {"bandwidth": float("nan")},
-               {"bandwidth": float("inf")}, {"bandwidth": -float("inf")}):
+    # a bool, a string or a non-finite value is never a bandwidth
+    for bandwidth in (True, "1", float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError):
-            gaussian_smooth([(1.0, 1.0), (2.0, 1.0)], **kw)
-    curve = gaussian_smooth([(1.0, 1.0), (2.0, 1.0)], bandwidth=np.float32(0.5), grid_size=np.int64(5))
-    assert len(curve.xs) == 5
-    # a one-point grid sits at the smallest x, and its trend is the one there
-    one = gaussian_smooth([(1, 0.0), (10, 1.0)], grid_size=1)
-    two = gaussian_smooth([(1, 0.0), (10, 1.0)], grid_size=2)
-    assert one.xs.tolist() == [1.0] and one.ys[0] == two.ys[0]
+            gaussian_smooth([(1.0, 1.0), (2.0, 1.0)], bandwidth=bandwidth)
+    curve = gaussian_smooth([(1.0, 1.0), (2.0, 1.0)], bandwidth=np.float32(0.5))
+    assert len(curve.xs) == 200
 
 
 def _smooth_points(rng, n):
@@ -517,23 +513,20 @@ def _smooth_points(rng, n):
 
 
 def test_smooth_matches_dense_oracle():
-    # the trend is computed in blocks of grid rows; its bits are those of
-    # the dense grid x points formula: n = 1, either side of the block size,
-    # grids of one block, of several and of a short last block, at the
-    # default and at a given bandwidth
+    # the 200-row grid is computed in blocks of rows; its bits are those of
+    # the dense grid x points formula: one block (n <= 163), a short last
+    # block (164: 199 rows, then 1), several (5000: 33 blocks of 6 rows, then 2),
+    # and one row per block either side of the block size, where
+    # max(1, ...) clamps; at the default and at a given bandwidth
     block = stats._SMOOTH_BLOCK_ELEMENTS
     rng = np.random.default_rng(41)
-    cases = [(1, (1, 200)), (2, (1, 200)), (163, (200, 201)), (164, (198, 199, 200, 397)),
-             (5000, (1, 6, 7, 13, 200)), (block - 1, (1, 2, 3)), (block, (1, 2, 3)),
-             (block + 1, (1, 2, 3))]
-    for n, grid_sizes in cases:
+    for n in (1, 2, 163, 164, 5000, block - 1, block, block + 1):
         pts = _smooth_points(rng, n)
-        for grid_size in grid_sizes:
-            for bandwidth in (None, 0.3):
-                curve = gaussian_smooth(pts, bandwidth=bandwidth, grid_size=grid_size)
-                xs, ys = dense_smooth_oracle(pts, bandwidth=bandwidth, grid_size=grid_size)
-                assert np.array_equal(curve.xs, xs), (n, grid_size, bandwidth)
-                assert np.array_equal(curve.ys, ys), (n, grid_size, bandwidth)
+        for bandwidth in (None, 0.3):
+            curve = gaussian_smooth(pts, bandwidth=bandwidth)
+            xs, ys = dense_smooth_oracle(pts, bandwidth=bandwidth)
+            assert np.array_equal(curve.xs, xs), (n, bandwidth)
+            assert np.array_equal(curve.ys, ys), (n, bandwidth)
     # tied x values: the curve is the oracle's there too
     pts = np.column_stack([np.round(np.exp(rng.uniform(0.0, 3.0, 5000))), rng.normal(size=5000)])
     xs, ys = dense_smooth_oracle(pts)

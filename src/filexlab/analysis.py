@@ -92,10 +92,12 @@ def analyze_records(records, strong_threshold: float = DEFAULT_STRONG_THRESHOLD)
     if missing:
         raise MissingRecordsError("; ".join(missing))
 
+    # one correlation per sweep, in pairing order: FiLex beta serves two pairings
+    sweeps = dict.fromkeys(k for _, f, t in PAIRINGS for k in ((FILEX, f), (TOY_ELS, t)))
+    summaries = {key: kendall_tau(groups[key]) for key in sweeps}
     pairs = []
     for label, f_param, t_param in PAIRINGS:
-        cf = kendall_tau(groups[(FILEX, f_param)])
-        ct = kendall_tau(groups[(TOY_ELS, t_param)])
+        cf, ct = summaries[(FILEX, f_param)], summaries[(TOY_ELS, t_param)]
         match = cf.sign == ct.sign and cf.sign != "zero"
         strong = (
             match
@@ -128,14 +130,19 @@ def analyze_records(records, strong_threshold: float = DEFAULT_STRONG_THRESHOLD)
     )
 
 
+def _p_text(summary: CorrelationSummary) -> str:
+    # 9 characters either way: a Monte Carlo floor is printed as the bound it is
+    return f"<={summary.p_value:.1e}" if summary.p_is_bound else f"{summary.p_value:>9.2e}"
+
+
 def format_report(report: AnalysisReport) -> str:
     """Human-readable table plus the two binomial summaries."""
     head = f"{'pair':<14} {'urn tau':>9} {'p':>9} {'toy tau':>9} {'p':>9}  match strong"
     lines = [head, "-" * len(head)]
     for pr in report.pairs:
         lines.append(
-            f"{pr.label:<14} {pr.filex.tau:>+9.3f} {pr.filex.p_value:>9.2e} "
-            f"{pr.toy_els.tau:>+9.3f} {pr.toy_els.p_value:>9.2e}  "
+            f"{pr.label:<14} {pr.filex.tau:>+9.3f} {_p_text(pr.filex)} "
+            f"{pr.toy_els.tau:>+9.3f} {_p_text(pr.toy_els)}  "
             f"{'yes' if pr.sign_match else 'no':<5} {'yes' if pr.strong_match else 'no'}"
         )
     lines.append("")

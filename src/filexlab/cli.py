@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .analysis import DEFAULT_STRONG_THRESHOLD, analyze_records, format_report
 from .params import PARAMS
-from .records import FILEX, read_metadata, read_records, write_records
+from .records import FILEX, read_metadata, read_records, write_atomic, write_records
 from .stats import shannon_entropy
 from .svgplot import build_plot
 from .validation import param_kinds
@@ -206,7 +206,7 @@ def _cmd_analyze(args) -> int:
     if args.out is not None:
         # strict JSON: a NaN or infinity in the report is an error, not a bare token
         text = json.dumps(asdict(report), indent=2, allow_nan=False)
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        write_atomic(Path(args.out), text + "\n")
         print(f"report written to {args.out}")
     return 0
 
@@ -216,7 +216,7 @@ def _cmd_plot(args) -> int:
     metadata = read_metadata(args.records)
     svg = build_plot(records, metadata=metadata, bandwidth=args.bandwidth)
     out = Path(args.out) if args.out else Path(args.records).with_suffix(".svg")
-    out.write_text(svg, encoding="utf-8")
+    write_atomic(out, svg)
     print(f"plot written to {out}")
     return 0
 

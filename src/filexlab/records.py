@@ -51,10 +51,11 @@ def format_rows(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    # a temp file in the same directory, then one rename: a reader sees the
-    # old file or the whole new one, never a truncated write; the temp file
-    # is removed on any failure, interrupts included
+def write_atomic(path: Path, text: str) -> None:
+    """Write UTF-8 text to path through a temp file in the same directory
+    and one rename: a reader sees the old file or the whole new one, never
+    a truncated write. The temp file is removed on any failure, interrupts
+    included."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text, encoding="utf-8")
@@ -69,11 +70,11 @@ def write_records(csv_path, records, spec=None, skipped=()) -> None:
     sidecar too.
     Each file is replaced atomically: a failed write leaves the old one whole."""
     p = Path(csv_path)
-    _write_atomic(p, format_rows(records))
+    write_atomic(p, format_rows(records))
     if spec is None:
         return
     meta = {**asdict(spec), "skipped": [asdict(s) for s in skipped], "artifact_version": _VERSION}
-    _write_atomic(metadata_path(p), json.dumps(meta, indent=2) + "\n")
+    write_atomic(metadata_path(p), json.dumps(meta, indent=2) + "\n")
 
 
 def read_records(csv_path) -> list[RunRecord]:

@@ -17,9 +17,8 @@ of the inversion count I, since C - D = P - 2I with P the pairs tied in
 neither margin. The permutation route counts C - D over the upper-triangle
 pairs of int8 dense ranks.
 
-The smoother works through its grid in blocks of rows, so its memory is
-O(n) in the points, and its output is bit-identical to the one-array
-formula. Kendall tau and the smoother share one pure-Python check of
+The smoother takes one grid row per pass, so its memory is O(n) in the
+points. Kendall tau and the smoother share one pure-Python check of
 their points (an (n, 2) collection of finite reals, numpy arrays included).
 
 numpy is imported only where arrays are computed: entropy, smoothing and
@@ -45,11 +44,6 @@ _MC_SEED = 0x7A11E5  # fixed: identical inputs give identical p-values
 
 _SMOOTH_GRID = 200  # points of the smoother's log-spaced trend grid
 
-# The smoother works through its grid in blocks of rows, each temporary
-# holding at most this many doubles (256 KiB; one row always fits), so its
-# memory grows with the number of points, not with grid * points.
-_SMOOTH_BLOCK_ELEMENTS = 1 << 15
-
 
 class UndefinedCorrelationError(ValueError):
     """Raised when a rank correlation has no defined value (a margin is constant)."""
@@ -60,12 +54,21 @@ class CorrelationSummary:
     """Kendall tau-b with its two-sided significance.
 
     sign is that of the exact integer C - D: "positive", "negative" or "zero".
+    method names the p-value's route: "normal", "exact", "enumeration" or
+    "montecarlo".
     """
 
     tau: float
     p_value: float
     n: int
     sign: str
+    method: str
+
+    @property
+    def p_is_bound(self) -> bool:
+        """True when p_value is only an upper bound: no Monte Carlo
+        permutation was as extreme as the data, so p is the estimate's floor."""
+        return self.method == "montecarlo" and self.p_value == 1 / (_MC_PERMUTATIONS + 1)
 
 
 @dataclass(frozen=True)
@@ -254,10 +257,11 @@ def _p_inversions(n: int, groups, observed_cmd: int) -> float:
     return hits / sum(counts)
 
 
-def _p_permutations(xr: list[int], yr: list[int], observed_cmd: int) -> float:
+def _p_permutations(xr: list[int], yr: list[int], observed_cmd: int) -> tuple[str, float]:
     # under the null all n! assignments of y to x are equally likely: they are
     # enumerated while n! <= _MC_PERMUTATIONS (n <= 8); otherwise that many are
-    # drawn with a fixed seed, and the observed order counts once
+    # drawn with a fixed seed, and the observed order counts once; returns
+    # the route's name and p
     import numpy as np
 
     pairs = _x_ordered_pairs(xr)
@@ -267,13 +271,13 @@ def _p_permutations(xr: list[int], yr: list[int], observed_cmd: int) -> float:
 
     n_perms = math.factorial(len(yr))
     if n_perms <= _MC_PERMUTATIONS:
-        return hits(np.array(yr)[_all_permutations(len(yr))]) / n_perms
+        return "enumeration", hits(np.array(yr)[_all_permutations(len(yr))]) / n_perms
     rng = np.random.default_rng(_MC_SEED)
     total = 0
     for done in range(0, _MC_PERMUTATIONS, 2_000):
         rows = min(2_000, _MC_PERMUTATIONS - done)
         total += hits(rng.permuted(np.tile(yr, (rows, 1)), axis=1))
-    return (total + 1) / (_MC_PERMUTATIONS + 1)
+    return "montecarlo", (total + 1) / (_MC_PERMUTATIONS + 1)
 
 
 def _p_normal(n: int, xcounts, ycounts, observed_cmd: int) -> float:
@@ -321,14 +325,14 @@ def kendall_tau(points) -> CorrelationSummary:
     tau = max(-1.0, min(1.0, tau))
 
     if n > 50:
-        p = _p_normal(n, xcounts, ycounts, cmd)
+        method, p = "normal", _p_normal(n, xcounts, ycounts, cmd)
     elif not (xtie and ytie):
-        p = _p_inversions(n, xcounts if xtie else ycounts, cmd)
+        method, p = "exact", _p_inversions(n, xcounts if xtie else ycounts, cmd)
     else:
-        p = _p_permutations(xr, yr, cmd)
+        method, p = _p_permutations(xr, yr, cmd)
 
     sign = "positive" if cmd > 0 else "negative" if cmd < 0 else "zero"
-    return CorrelationSummary(tau=tau, p_value=p, n=n, sign=sign)
+    return CorrelationSummary(tau=tau, p_value=p, n=n, sign=sign, method=method)
 
 
 def binomial_sign_test(successes: int, trials: int) -> float:
@@ -370,16 +374,13 @@ def gaussian_smooth(points, bandwidth: float | None = None) -> TrendCurve:
     h = bandwidth if bandwidth is not None else (hi - lo) / 20.0
     lgrid = np.linspace(lo, hi, _SMOOTH_GRID)
     ys = np.empty(_SMOOTH_GRID)
-    rows = max(1, _SMOOTH_BLOCK_ELEMENTS // len(lx))
     # an overflow leaves a non-finite trend value, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, _SMOOTH_GRID, rows):
-            # each row's arithmetic is the same whatever the block holds
-            block = slice(start, start + rows)
-            z = (lgrid[block, None] - lx) / h
+        for i, g in enumerate(lgrid):
+            z = (g - lx) / h
             logw = -0.5 * z * z
-            w = np.exp(logw - logw.max(axis=1, keepdims=True))
-            ys[block] = (w * y).sum(axis=1) / w.sum(axis=1)
+            w = np.exp(logw - logw.max())
+            ys[i] = (w * y).sum() / w.sum()
     if not np.all(np.isfinite(ys)):
         raise ValueError(
             f"the trend is not finite at bandwidth {h!r}: the kernel weights or their sums overflow"

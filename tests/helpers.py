@@ -204,7 +204,7 @@ def polya_expected_entropy(params) -> float:
 
 def dense_smooth_oracle(points, bandwidth=None, grid_size=200):
     """(xs, ys) of the log-x Gaussian trend, every grid row at once: the
-    grid_size x n formula that `stats.gaussian_smooth` computes in blocks."""
+    grid_size x n formula that `stats.gaussian_smooth` computes one row at a time."""
     pts = np.asarray(points, dtype=np.float64)
     x, y = pts[:, 0], pts[:, 1]
     lx = np.log(x)

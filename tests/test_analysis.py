@@ -4,13 +4,14 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from filexlab import analysis
 from filexlab.analysis import (
     PAIRINGS,
     MissingRecordsError,
     analyze_records,
     format_report,
 )
-from filexlab.stats import binomial_sign_test
+from filexlab.stats import binomial_sign_test, kendall_tau
 from filexlab.sweep import FILEX, TOY_ELS, RunRecord
 
 
@@ -124,6 +125,20 @@ def test_row_order_does_not_matter():
     shuffled = [recs[i] for i in rng.permutation(len(recs))]
     report_b = analyze_records(shuffled)
     assert report_a == report_b
+
+
+def test_each_sweep_is_correlated_once(monkeypatch):
+    # FiLex beta serves the Buffer Size and the Temperature pairings
+    calls = []
+
+    def counting(points):
+        calls.append(tuple(points))
+        return kendall_tau(points)
+
+    monkeypatch.setattr(analysis, "kendall_tau", counting)
+    report = analyze_records(matched_records())
+    assert len(calls) == len(set(calls)) == 9
+    assert report.pairs[3].filex is report.pairs[4].filex
 
 
 def test_format_report_readable():

@@ -375,6 +375,25 @@ def test_plot_default_output_path(tmp_path):
     assert (tmp_path / "filex_n_iters.svg").exists()
 
 
+@pytest.mark.parametrize("command", ["plot", "analyze"])
+def test_failed_replace_keeps_the_earlier_output(tmp_path, capsys, monkeypatch, command):
+    # plot's SVG and analyze's --out report are renamed into place: when the
+    # rename fails, the earlier file stays whole and no temp file is left
+    paths = synth_suite_files(tmp_path)
+    out = tmp_path / "out.txt"
+    out.write_text("earlier\n", encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    inputs = [paths[0]] if command == "plot" else paths
+    assert main([command, *inputs, "--out", str(out)]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_config_file_sets_defaults(tmp_path):
     cfg = tmp_path / "lab.cfg"
     cfg.write_text("steps = 3\nseed = 2  # root seed\n", encoding="utf-8")

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import kendalltau
 
 from filexlab import stats
+from filexlab.analysis import AnalysisReport, PairResult, format_report
 from filexlab.stats import (
     CorrelationSummary,
     UndefinedCorrelationError,
@@ -140,8 +142,35 @@ def test_tau_montecarlo_regime():
     a = kendall_tau(pts)
     b = kendall_tau(pts)
     assert a.tau == 1.0
+    assert a.method == "montecarlo"
     assert a.p_value == 1 / (stats._MC_PERMUTATIONS + 1)
     assert a.p_value == b.p_value  # fixed internal permutation stream
+    assert a.p_is_bound
+    # the report prints that floor as a bound, in the column's 9 characters
+    measured = kendall_tau([(i // 2, (i * 7) % 13 // 3) for i in range(20)])
+    assert measured.method == "montecarlo" and not measured.p_is_bound
+    row = PairResult("Time Steps", "n_iters", "time_steps", a, measured, False, False)
+    report = AnalysisReport([row, replace(row, filex=measured, toy_els=a)], 0, 2, 1.0, 0, 1.0, 0.2)
+    first, second = format_report(report).splitlines()[2:4]
+    # the p columns are characters 25-33 and 45-53 of each row
+    assert (first[25:34], first[45:54]) == ("<=1.0e-05", " 7.76e-01")
+    assert (second[25:34], second[45:54]) == (" 7.76e-01", "<=1.0e-05")
+
+
+# one input per route besides Monte Carlo (checked above): (points, method)
+_ROUTES = [
+    ([(i, (i * 3) % 8) for i in range(8)], "exact"),  # untied
+    ([(i // 2, (i * 3) % 8) for i in range(8)], "exact"),  # tied x
+    ([((i * 3) % 8 // 2, (i * 7) % 9 // 2) for i in range(8)], "enumeration"),  # both tied, n <= 8
+    ([(i // 2, (i * 7) % 13 // 3) for i in range(51)], "normal"),  # n > 50
+]
+
+
+@pytest.mark.parametrize("pts, method", _ROUTES, ids=[f"{m}-{i}" for i, (_, m) in enumerate(_ROUTES)])
+def test_tau_method_names_its_route(pts, method):
+    s = kendall_tau(pts)
+    assert s.method == method
+    assert not s.p_is_bound
 
 
 # p sits well inside (0, 1) and x is not monotone, so a kernel that
@@ -386,7 +415,8 @@ def test_point_validation_accepts_numpy_scalars_arrays_and_numeric_strings():
     mixed = [(np.float32(1.5), np.int64(2)), (np.float64(2.0), np.uint8(1)), ("3", 7)]
     same = [(1.5, 2.0), (2.0, 1.0), (3.0, 7.0)]
     assert kendall_tau(mixed) == kendall_tau(same) == kendall_tau(np.array(same))
-    assert kendall_tau(same) == CorrelationSummary(tau=1 / 3, p_value=1.0, n=3, sign="positive")
+    assert kendall_tau(same) == CorrelationSummary(tau=1 / 3, p_value=1.0, n=3, sign="positive",
+                                                 method="exact")
     for points in (mixed, np.array(same)):
         curve, expected = gaussian_smooth(points), gaussian_smooth(same)
         assert np.array_equal(curve.xs, expected.xs) and np.array_equal(curve.ys, expected.ys)
@@ -513,14 +543,11 @@ def _smooth_points(rng, n):
 
 
 def test_smooth_matches_dense_oracle():
-    # the 200-row grid is computed in blocks of rows; its bits are those of
-    # the dense grid x points formula: one block (n <= 163), a short last
-    # block (164: 199 rows, then 1), several (5000: 33 blocks of 6 rows, then 2),
-    # and one row per block either side of the block size, where
-    # max(1, ...) clamps; at the default and at a given bandwidth
-    block = stats._SMOOTH_BLOCK_ELEMENTS
+    # the 200-row grid is computed one row per pass; its bits are those of
+    # the dense grid x points formula, from one point to 32,769, at the
+    # default and at a given bandwidth
     rng = np.random.default_rng(41)
-    for n in (1, 2, 163, 164, 5000, block - 1, block, block + 1):
+    for n in (1, 2, 163, 164, 5000, 32767, 32768, 32769):
         pts = _smooth_points(rng, n)
         for bandwidth in (None, 0.3):
             curve = gaussian_smooth(pts, bandwidth=bandwidth)
